@@ -61,9 +61,12 @@ def _worker_main(tasks, results, capture_timelines: bool) -> None:
     dead worker it cannot attribute and the task would be lost.
     ``SimpleQueue.put`` writes synchronously in the calling thread,
     making heartbeat-before-work an ordering guarantee.  A ``None``
-    task is the shutdown sentinel.  Queue failures (parent died) end
-    the loop quietly — the supervisor owns all error reporting.
+    task is the shutdown sentinel.  Queue failures (parent died; the
+    worker's copies of the parent's pipe ends are closed so it sees one)
+    end the loop quietly — the supervisor owns all error reporting.
     """
+    tasks._writer.close()
+    results._reader.close()
     while True:
         try:
             item = tasks.get()

@@ -40,10 +40,10 @@ from repro.mem.extent import PageType
 from repro.obs.bus import Telemetry
 from repro.obs.sample import SAMPLE_FORMAT_VERSION, EpochSample
 from repro.sim.stats import RunResult, RunStats
-from repro.units import PAGE_SIZE
+from repro.units import PAGE_SIZE, pages_of_bytes
 from repro.vmm.domain import Domain
 from repro.vmm.hypervisor import Hypervisor
-from repro.vmm.sharing import MaxMinSharing
+from repro.vmm.sharing import MaxMinSharing, SharingPolicy
 from repro.workloads.base import EpochDemand, RegionSpec, Workload
 
 #: Shared no-op context for profiling-off runs (no per-phase allocation).
@@ -132,17 +132,6 @@ def build_custom_vm(
     reservation.
     """
     config = config or SimConfig()
-    from repro.units import pages_of_bytes
-
-    node_builder = None
-    lru_factory = None
-    if config.resolved_fast_path():
-        # Imported lazily so the reference path never pays (or warns
-        # about) the optional numpy dependency.
-        from repro.sim.fast import FastSplitLru, fast_build_node
-
-        node_builder = fast_build_node
-        lru_factory = FastSplitLru
     reservations: dict[NodeTier, TierReservation] = {
         tier: TierReservation(
             pages_of_bytes(device.capacity_bytes),
@@ -150,22 +139,48 @@ def build_custom_vm(
         )
         for tier, device in devices.items()
     }
-    hypervisor = Hypervisor(
-        devices,
-        sharing_policy=MaxMinSharing(),
-        hotness_config=config.hotness_config,  # type: ignore[arg-type]
-        node_builder=node_builder,
-    )
+    hypervisor = make_hypervisor(devices, config, MaxMinSharing())
     domain = hypervisor.create_domain("vm0", reservations)
-    nodes = hypervisor.build_guest_nodes(domain)
+    return hypervisor, domain, boot_guest(hypervisor, domain, config)
+
+
+def _guest_structures(config: SimConfig) -> tuple:
+    """``(node_builder, lru_factory)``: the array-backed twins on the fast
+    path (imported lazily, so the reference path never pays for numpy),
+    else the reference defaults.  The only place that choice is made."""
+    if not config.resolved_fast_path():
+        return None, None
+    from repro.sim.fast import FastSplitLru, fast_build_node
+
+    return fast_build_node, FastSplitLru
+
+
+def make_hypervisor(
+    devices: dict[NodeTier, MemoryDevice],
+    config: SimConfig,
+    sharing_policy: SharingPolicy,
+) -> Hypervisor:
+    """The VMM every single- and multi-VM simulation is built on."""
+    return Hypervisor(
+        devices,
+        sharing_policy=sharing_policy,
+        hotness_config=config.hotness_config,  # type: ignore[arg-type]
+        node_builder=_guest_structures(config)[0],
+    )
+
+
+def boot_guest(
+    hypervisor: Hypervisor, domain: Domain, config: SimConfig
+) -> GuestKernel:
+    """Build ``domain``'s NUMA nodes, boot its kernel and attach it."""
     kernel = GuestKernel(
-        nodes,
+        hypervisor.build_guest_nodes(domain),
         cpus=config.cpus,
         balloon=hypervisor.make_balloon_frontend(domain),
-        lru_factory=lru_factory,
+        lru_factory=_guest_structures(config)[1],
     )
     hypervisor.attach_kernel(domain, kernel)
-    return hypervisor, domain, kernel
+    return kernel
 
 
 class SimulationEngine:

@@ -21,12 +21,10 @@ from repro.config import SimConfig
 from repro.core.policy import PlacementPolicy
 from repro.errors import ConfigurationError
 from repro.guestos.balloon import TierReservation
-from repro.guestos.kernel import GuestKernel
 from repro.guestos.numa import NodeTier
 from repro.hw.memdevice import MemoryDevice
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, boot_guest, make_hypervisor
 from repro.sim.stats import RunResult
-from repro.vmm.hypervisor import Hypervisor
 from repro.vmm.sharing import SharingPolicy
 from repro.workloads.base import Workload
 
@@ -55,7 +53,7 @@ class MultiVmSimulation:
         if not vms:
             raise ConfigurationError("need at least one VM")
         self.config = config or SimConfig()
-        self.hypervisor = Hypervisor(devices, sharing_policy=sharing_policy)
+        self.hypervisor = make_hypervisor(devices, self.config, sharing_policy)
         self.engines: dict[str, SimulationEngine] = {}
         llc_share = dataclasses.replace(
             self.config.llc,
@@ -67,13 +65,6 @@ class MultiVmSimulation:
             domain = self.hypervisor.create_domain(
                 spec.name, spec.reservations, weights=spec.weights or None
             )
-            nodes = self.hypervisor.build_guest_nodes(domain)
-            kernel = GuestKernel(
-                nodes,
-                cpus=self.config.cpus,
-                balloon=self.hypervisor.make_balloon_frontend(domain),
-            )
-            self.hypervisor.attach_kernel(domain, kernel)
             vm_config = dataclasses.replace(
                 self.config,
                 llc=llc_share,
@@ -85,7 +76,7 @@ class MultiVmSimulation:
                 spec.policy,
                 hypervisor=self.hypervisor,
                 domain=domain,
-                kernel=kernel,
+                kernel=boot_guest(self.hypervisor, domain, vm_config),
             )
         self._vms = list(vms)
         self.rng = random.Random(self.config.seed)

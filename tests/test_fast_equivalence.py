@@ -9,9 +9,9 @@ must match exactly, which pins allocation order, float addition order,
 and dict insertion order).
 
 The slow path is the oracle.  These tests sweep every registered
-policy, the fault/telemetry/sanitizer modes, and (via Hypothesis) the
-synthetic-workload generator, so any fast-path divergence fails here
-before it can skew a figure.
+policy, the fault/telemetry/sanitizer modes, (via Hypothesis) the
+synthetic-workload generator, and the Figure 13 multi-VM scenarios, so
+any fast-path divergence fails here before it can skew a figure.
 """
 
 from __future__ import annotations
@@ -24,10 +24,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SimConfig
 from repro.core.policy import available_policies, make_policy
+from repro.experiments.sharing import fig13_devices, fig13_vmspecs
 from repro.faults import FaultPlan
+from repro.guestos.numa import NodeTier
 from repro.obs.bus import Telemetry
+from repro.sim.multi_vm import MultiVmSimulation
 from repro.sim.runner import build_config, run_experiment
+from repro.vmm.drf import WeightedDrf
+from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.synthetic import make_synthetic
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -126,4 +132,56 @@ def test_synthetic_workloads_are_bit_identical(
                      epochs=4, slow_gib=1.0, faults=faults)
     fast = _run(workload(), "hetero-lru", True,
                 epochs=4, slow_gib=1.0, faults=faults)
+    assert fast == reference
+
+
+def _multi_vm(policy_name, sharing_cls, fast, *, weights=None,
+              sanitize=False, epochs=20):
+    """One Figure 13 scenario: per-VM results, dominant shares and
+    per-domain grants."""
+    specs = fig13_vmspecs(policy_name)
+    for spec in specs:
+        spec.weights.update(weights or {})
+    sim = MultiVmSimulation(
+        fig13_devices(),
+        specs,
+        sharing_policy=sharing_cls(),
+        config=SimConfig(fast_path=fast, sanitize=sanitize),
+    )
+    results = sim.run(epochs)
+    # Every guest really ran on the structures the flag selects.
+    lrus = {
+        type(lru).__name__
+        for engine in sim.engines.values()
+        for lru in engine.kernel.lru.values()
+    }
+    assert lrus == {"FastSplitLru" if fast else "SplitLru"}
+    domains = list(sim.hypervisor.domains.values())
+    return (
+        {name: dataclasses.asdict(result) for name, result in results.items()},
+        WeightedDrf().dominant_shares(sim.hypervisor.machine, domains),
+        {d.name: (d.granted_pages, d.granted_frames) for d in domains},
+    )
+
+
+@pytest.mark.parametrize(
+    "policy_name, sharing_cls, kwargs",
+    [
+        ("vmm-exclusive", MaxMinSharing, {}),
+        ("slowmem-only", MaxMinSharing, {}),
+        ("hetero-coordinated", MaxMinSharing, {}),
+        ("hetero-coordinated", WeightedDrf, {}),
+        # Ablation G's unweighted DRF.
+        ("hetero-coordinated", WeightedDrf,
+         dict(weights={NodeTier.FAST: 1.0, NodeTier.SLOW: 1.0})),
+        # The per-page shadow checks make sanitized epochs ~40x dearer.
+        ("hetero-coordinated", MaxMinSharing, dict(sanitize=True, epochs=4)),
+    ],
+    ids=["vmm-exclusive", "slowmem-only", "coordinated-maxmin",
+         "coordinated-drf", "coordinated-unweighted-drf",
+         "coordinated-maxmin-sanitize"],
+)
+def test_multi_vm_is_bit_identical(policy_name, sharing_cls, kwargs):
+    reference = _multi_vm(policy_name, sharing_cls, False, **kwargs)
+    fast = _multi_vm(policy_name, sharing_cls, True, **kwargs)
     assert fast == reference

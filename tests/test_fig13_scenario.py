@@ -1,5 +1,10 @@
 """The Figure 13 multi-VM scenario helpers and dynamics (scaled down
-where possible; the full driver runs in the benchmark suite)."""
+where possible; the full driver runs in the benchmark suite), plus a
+golden pin of the committed multi-VM tables."""
+
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -8,6 +13,7 @@ from repro.experiments.sharing import (
     fig13_vmspecs,
     run_fig13,
 )
+from repro.experiments.report import format_table
 from repro.guestos.numa import NodeTier
 from repro.sim.multi_vm import MultiVmSimulation
 from repro.units import GIB
@@ -73,3 +79,41 @@ def test_run_fig13_driver_rows():
     for vm in ("graphchi-vm", "metis-vm"):
         assert "coordinated(weighted-drf)" in by_vm[vm]
         assert "single-vm-coordinated" in by_vm[vm]
+
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load_benchmark(filename):
+    spec = importlib.util.spec_from_file_location(
+        f"benchmarks_{filename[:-3]}", BENCHMARKS / filename
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_multi_vm_tables_match_committed_results(monkeypatch):
+    """Full-length Figure 13 and Ablation G render byte-identical to
+    ``benchmarks/_results`` (affordable on the fast path)."""
+    monkeypatch.setenv("REPRO_FAST", "1")
+    # The ablation module's ``from conftest import once`` must resolve to
+    # the benchmarks conftest, not this suite's.
+    monkeypatch.setitem(
+        sys.modules, "conftest", _load_benchmark("conftest.py")
+    )
+    ablations = _load_benchmark("test_ablation_design.py")
+    for rows, title, name in (
+        (
+            run_fig13(),
+            "Figure 13: multi-VM gains (%) over SlowMem-only floor",
+            "figure_13",
+        ),
+        (
+            ablations.run_drf_weight_ablation(),
+            "Ablation G: DRF FastMem weighting (Figure 13 scenario)",
+            "ablation_g",
+        ),
+    ):
+        expected = (BENCHMARKS / "_results" / f"{name}.txt").read_text()
+        assert format_table(rows, title=title) + "\n" == expected, name

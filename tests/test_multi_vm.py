@@ -13,6 +13,7 @@ from repro.mem.extent import PageType
 from repro.sim.multi_vm import MultiVmSimulation, VmSpec
 from repro.units import MIB, pages_of_bytes
 from repro.vmm.drf import WeightedDrf
+from repro.vmm.hotness import HotnessConfig
 from repro.vmm.sharing import MaxMinSharing
 from repro.workloads.base import RegionSpec, StatisticalWorkload
 
@@ -117,3 +118,17 @@ def test_late_grower_balloons_from_pool_under_drf():
     )
     assert domain.pages(NodeTier.SLOW) > 4096  # ballooned beyond the min
     assert results["grower"].stats.dropped_allocation_pages == 0
+
+
+def test_hotness_config_reaches_every_domain_tracker():
+    custom = HotnessConfig(scan_batch_pages=1024, hot_density=2.0)
+    sim = MultiVmSimulation(
+        devices(),
+        [vm("a", workload("a")), vm("b", workload("b"))],
+        sharing_policy=MaxMinSharing(),
+        config=SimConfig(hotness_config=custom),
+    )
+    sim.run(2)
+    trackers = sim.hypervisor.trackers
+    assert len(trackers) == 2
+    assert all(tracker.config is custom for tracker in trackers.values())

@@ -10,6 +10,7 @@ uninterrupted in-process ``run_specs`` over the same batch.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import os
 import re
 import signal
@@ -75,10 +76,40 @@ def stop_daemon(proc: subprocess.Popen) -> int:
     return proc.returncode
 
 
+def worker_pids(proc: subprocess.Popen) -> "set[int]":
+    """The daemon's two forked workers, read from every thread's Linux
+    ``/proc/<pid>/task/<tid>/children`` list; empty where there is none."""
+    paths = glob.glob(f"/proc/{proc.pid}/task/*/children")
+    pids: "set[int]" = set()
+    for path in paths:
+        with open(path, encoding="ascii") as handle:
+            pids.update(int(field) for field in handle.read().split())
+    assert len(pids) == 2 or not paths, pids
+    return pids
+
+
+def alive(pid: int) -> bool:
+    """Running, i.e. neither gone nor an unreaped zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def assert_orphans_exit(pids: "set[int]", within_sec: float = 5.0) -> None:
+    deadline = time.monotonic() + within_sec
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if alive(pid)], "orphaned workers"
+
+
 def test_sigkill_mid_flight_then_restart_is_bit_identical(tmp_path):
     specs = batch()
     root = tmp_path / "state"
     proc, address = start_daemon(root)
+    workers = worker_pids(proc)
     try:
         client = ServeClient(f"http://{address}", client_id="survivor")
         job_id = client.submit(specs)
@@ -88,6 +119,8 @@ def test_sigkill_mid_flight_then_restart_is_bit_identical(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stderr.close()
+    # The killed daemon's workers notice their parent is gone and exit.
+    assert_orphans_exit(workers)
 
     proc, address = start_daemon(root)
     try:
@@ -109,6 +142,7 @@ def test_restart_reuses_cache_for_finished_work(tmp_path):
     specs = batch()[:3]
     root = tmp_path / "state"
     proc, address = start_daemon(root)
+    workers = worker_pids(proc)
     try:
         client = ServeClient(f"http://{address}", client_id="first-life")
         first = client.run(specs, timeout_sec=600)
@@ -117,6 +151,7 @@ def test_restart_reuses_cache_for_finished_work(tmp_path):
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=10)
         proc.stderr.close()
+    assert_orphans_exit(workers)
 
     proc, address = start_daemon(root)
     try:
