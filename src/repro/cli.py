@@ -577,7 +577,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout_sec=args.timeout,
         retries=args.retries,
-        max_crashes=args.max_crashes,
         queue_limit=args.queue_limit,
         client_limit=args.client_limit,
     )
@@ -996,11 +995,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--retries", type=int, default=1,
-        help="scheduler-side retries for timed-out specs",
-    )
-    serve_parser.add_argument(
-        "--max-crashes", type=int, default=2,
-        help="worker crashes before a spec is quarantined as poisoned",
+        help="retries per spec for timeouts and worker crashes; a spec "
+        "that crashes with its retries spent is quarantined",
     )
     serve_parser.add_argument(
         "--queue-limit", type=int, default=16,

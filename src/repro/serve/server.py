@@ -9,14 +9,14 @@ Architecture (three thread groups, one lock):
   ``ThreadingHTTPServer`` over TCP or a unix socket) do admission
   control and read views.  They never execute specs.
 * **the scheduler thread** owns execution: it starts queued jobs
-  (round-robin across clients for fairness), resolves each distinct
-  spec through the cache -> sweep-journal -> supervisor ladder — the
-  exact ladder ``run_specs`` uses, which is what keeps served results
+  (round-robin across clients for fairness), resolves and records each
+  distinct spec through :class:`~repro.sim.parallel.SpecLedger` — the
+  pair ``run_specs`` uses, which is what keeps served results
   bit-identical to direct execution — and completes jobs as outcomes
   arrive.
-* **worker processes** under the
-  :class:`~repro.serve.supervisor.WorkerSupervisor` run the specs
-  (persistent pool, heartbeats, respawn, quarantine).
+* **worker processes** under ``run_specs``'s pool,
+  :class:`~repro.sim.parallel.WorkerSupervisor`, run the specs
+  (persistent pool, heartbeats, respawn, retries, quarantine).
 
 Robustness properties:
 
@@ -50,15 +50,22 @@ from repro.errors import ServeError
 from repro.obs.flight import SweepRecorder
 from repro.obs.metrics import MetricsRegistry, PROMETHEUS_CONTENT_TYPE
 from repro.serve.jobstore import Job, JobStore, job_id_for
-from repro.serve.supervisor import WorkerSupervisor
 from repro.serve.wire import outcome_to_wire
-from repro.sim.parallel import ExperimentSpec, SpecFailure, SpecOutcome
+from repro.sim.parallel import (
+    ExperimentSpec,
+    SpecLedger,
+    SpecOutcome,
+    WorkerSupervisor,
+)
 
 __all__ = ["ServeConfig", "ExperimentServer"]
 
 #: Cap on the advisory Retry-After hint (seconds) so a deep queue never
 #: tells clients to go away for minutes.
 _MAX_RETRY_AFTER_SEC = 30
+
+#: Scheduler tick: the worker pool's poll budget, in seconds.
+_POLL_SEC = 0.05
 
 
 @dataclass
@@ -79,17 +86,13 @@ class ServeConfig:
     workers: int = 1
     #: Per-spec wall-clock budget (SIGALRM inside the worker).
     timeout_sec: "float | None" = None
-    #: Transient (timeout) retries per spec, scheduler-side.
+    #: Retries per spec for transient failures (timeouts and worker
+    #: crashes); a crash with the budget spent is quarantined.
     retries: int = 1
-    #: Worker crashes before a spec is quarantined, supervisor-side.
-    max_crashes: int = 2
     #: Bounded admission queue: max jobs accepted but not finished.
     queue_limit: int = 16
     #: Per-client fairness cap: max queued jobs for one client id.
     client_limit: int = 4
-    #: Scheduler tick (supervisor poll budget) in seconds.
-    poll_sec: float = 0.05
-    capture_timelines: bool = False
 
 
 class _Rejection(ServeError):
@@ -104,19 +107,6 @@ class _Rejection(ServeError):
         self.retry_after_sec = retry_after_sec
 
 
-class _Task:
-    """One distinct spec in flight, shared by every interested job."""
-
-    __slots__ = ("key", "spec", "attempts", "waiters")
-
-    def __init__(self, key: str, spec: ExperimentSpec) -> None:
-        self.key = key
-        self.spec = spec
-        self.attempts = 0
-        #: (job, [spec indexes]) pairs awaiting this outcome.
-        self.waiters: "List[Tuple[Job, List[int]]]" = []
-
-
 class ExperimentServer:
     """Long-running experiment service over the cached sweep substrate."""
 
@@ -125,9 +115,17 @@ class ExperimentServer:
         config: ServeConfig,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
+        if config.workers < 1:
+            raise ServeError(f"workers must be >= 1, got {config.workers}")
         self.config = config
         self.store = JobStore(config.root)
         self.recorder = SweepRecorder(registry)
+        self.ledger = SpecLedger(
+            self.store.cache,
+            self.store.journal,
+            self.store.fingerprint,
+            self.recorder,
+        )
         reg = self.recorder.registry
         self._m_admissions = reg.counter(
             "serve_admissions_total",
@@ -166,16 +164,16 @@ class ExperimentServer:
         self.supervisor = WorkerSupervisor(
             max_workers=config.workers,
             timeout_sec=config.timeout_sec,
-            capture_timelines=config.capture_timelines,
-            max_crashes=config.max_crashes,
+            retries=config.retries,
         )
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._queue: "List[str]" = []  # queued job ids, admission order
         self._rr_clients: "List[str]" = []  # round-robin client order
         self._running: "Dict[str, Job]" = {}
-        self._tasks: "Dict[str, _Task]" = {}
-        self._journal_entries: "Dict[str, dict]" = {}
+        #: cache key -> (job, [spec indexes]) pairs awaiting the one
+        #: in-flight execution of that spec.
+        self._waiters: "Dict[str, List[Tuple[Job, List[int]]]]" = {}
         self._respawns_seen = 0
         self._draining = False
         self._drain_started: "float | None" = None
@@ -192,7 +190,6 @@ class ExperimentServer:
         """Recover journaled jobs, start the pool, scheduler, and
         HTTP listener."""
         recovered = self.store.recover()
-        self._journal_entries = self.store.journal.load()
         with self._lock:
             for job in recovered:
                 self._enqueue(job)
@@ -377,9 +374,7 @@ class ExperimentServer:
         to a wrong answer."""
         resolved: "Dict[int, SpecOutcome]" = {}
         for index, spec in enumerate(job.specs):
-            outcome = self._resolve_without_running(
-                spec, reuse_transients=True
-            )
+            outcome = self.ledger.resolve(spec, reuse_transients=True)
             if outcome is None:
                 job.outcomes = {}
                 self.store.transition(job, "queued")
@@ -440,12 +435,18 @@ class ExperimentServer:
                 idle = not self._running and not self._queue
             if idle:
                 with self._cond:
-                    self._cond.wait(timeout=self.config.poll_sec * 4)
+                    self._cond.wait(timeout=_POLL_SEC * 4)
                 continue
-            events = self.supervisor.poll(self.config.poll_sec)
+            events = self.supervisor.poll(_POLL_SEC)
             with self._lock:
                 for key, outcome in events:
                     self._task_finished(key, outcome)
+                # The pool made the retry decision; the daemon retries
+                # at once (backoff lives in run_specs and ServeClient).
+                for _, failed, retry in self.supervisor.release_retries():
+                    self.recorder.retry(
+                        failed.spec.label, failed.error.kind, retry
+                    )
                 self._track_respawns()
         if self._drain_started is not None:
             self._g_drain.set(time.monotonic() - self._drain_started)
@@ -501,115 +502,26 @@ class ExperimentServer:
             distinct[spec].append(index)
         for spec in ordered:
             indexes = distinct[spec]
-            outcome = self._resolve_without_running(spec)
+            outcome = self.ledger.resolve(spec, copies=len(indexes))
             if outcome is not None:
                 self._apply_outcome(job, indexes, outcome)
                 continue
-            self.recorder.cache_miss(spec.label)
             key = spec.cache_key(self.store.fingerprint)
-            task = self._tasks.get(key)
-            if task is None:
-                task = _Task(key, spec)
-                self._tasks[key] = task
+            if key not in self._waiters:
+                self._waiters[key] = []
                 self.supervisor.submit(key, spec)
-            task.waiters.append((job, indexes))
+            self._waiters[key].append((job, indexes))
         self._maybe_complete(job)
 
-    def _resolve_without_running(
-        self, spec: ExperimentSpec, reuse_transients: bool = False
-    ) -> "Optional[SpecOutcome]":
-        """The run-free prefix of the ``run_specs`` ladder: result
-        cache first, then journaled failures (deterministic ones
-        always; transients only when rehydrating a finished job)."""
-        cached = self.store.cache.lookup(
-            spec,
-            self.store.fingerprint,
-            with_timeline=self.config.capture_timelines,
-        )
-        if cached is not None:
-            self.recorder.cache_hit(spec.label)
-            return SpecOutcome(spec=spec, result=cached, source="cache")
-        entry = self._journal_entries.get(
-            spec.cache_key(self.store.fingerprint)
-        )
-        if entry is not None and (
-            entry.get("kind") == "error"
-            or (reuse_transients and entry.get("status") == "failed")
-        ):
-            self.recorder.journal_reused(spec.label)
-            return SpecOutcome(
-                spec=spec,
-                error=SpecFailure(
-                    kind=str(entry.get("kind", "error")),
-                    message=str(entry.get("message", "")),
-                    error_type=entry.get("error_type"),
-                ),
-                source="journal",
-            )
-        return None
-
     def _task_finished(self, key: str, outcome: SpecOutcome) -> None:
-        task = self._tasks.get(key)
-        if task is None:
-            return
-        if (
-            outcome.error is not None
-            and outcome.error.kind == "timeout"
-            and task.attempts < self.config.retries
-        ):
-            # Scheduler-side transient retry (timeouts).  Crashes were
-            # already retried inside the supervisor up to max_crashes,
-            # so retrying them here would double the budget.
-            task.attempts += 1
-            self.recorder.retry(
-                task.spec.label, outcome.error.kind, task.attempts
-            )
-            self.supervisor.submit(key, task.spec)
-            return
-        del self._tasks[key]
-        if key in self.supervisor.quarantined:
-            self._m_quarantined.inc()
-        self._record_outcome(task, outcome)
-        for job, indexes in task.waiters:
+        waiters = self._waiters.pop(key, [])
+        if outcome.error is not None and outcome.error.kind == "worker-crash":
+            self._m_quarantined.inc()  # a final crash is a quarantine
+        copies = sum(len(indexes) for _, indexes in waiters)
+        self.ledger.record(outcome, copies=max(1, copies))
+        for job, indexes in waiters:
             self._apply_outcome(job, indexes, outcome)
             self._maybe_complete(job)
-
-    def _record_outcome(self, task: _Task, outcome: SpecOutcome) -> None:
-        """Persist + observe one executed spec (the ``run_specs``
-        ``_finish`` twin)."""
-        spec = task.spec
-        if outcome.ok:
-            self.store.cache.store(
-                spec, self.store.fingerprint, outcome.result
-            )
-        self.store.journal.record(spec, self.store.fingerprint, outcome)
-        entry: dict = {
-            "key": task.key,
-            "label": spec.label,
-            "status": "ok" if outcome.ok else "failed",
-            "source": outcome.source,
-            "elapsed_sec": outcome.elapsed_sec,
-        }
-        if outcome.error is not None:
-            entry["kind"] = outcome.error.kind
-            entry["message"] = outcome.error.message
-            if outcome.error.error_type is not None:
-                entry["error_type"] = outcome.error.error_type
-        self._journal_entries[task.key] = entry
-        copies = sum(len(indexes) for _, indexes in task.waiters)
-        self.recorder.outcome(
-            spec.label,
-            outcome.source,
-            "ok" if outcome.ok else "failed",
-            outcome.elapsed_sec,
-            fault_counts=(
-                outcome.result.fault_counts if outcome.ok else None
-            ),
-            failure_kind=(
-                outcome.error.kind if outcome.error is not None else None
-            ),
-            copies=max(1, copies),
-        )
 
     def _apply_outcome(
         self, job: Job, indexes: "List[int]", outcome: SpecOutcome

@@ -14,14 +14,18 @@ Figure 3.  This module makes the grid the unit of work:
 * :class:`ResultCache` — an on-disk memo of pickled
   :class:`~repro.sim.stats.RunResult` payloads, one file per cache key.
   Corrupt or stale entries degrade to misses, never errors.
-* :func:`run_specs` — fans specs out across worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor` with chunked
-  scheduling and a per-spec timeout enforced *inside* the worker
-  (``SIGALRM``), falling back to in-process serial execution when
-  ``max_workers=1`` or the platform cannot fork.  Worker crashes and
-  timeouts surface as structured :class:`SpecFailure`\\ s on the
-  returned :class:`SpecOutcome`\\ s — a sweep never hangs and never
-  loses the rest of the grid.
+* :class:`SpecLedger` — the one resolve (cache → journal) and record
+  (cache + journal + recorder) pair, shared by :func:`run_specs` and
+  the ``repro serve`` daemon.
+* :class:`WorkerSupervisor` — the one worker pool: persistent forked
+  workers with bounded dispatch, heartbeat-attributed crashes,
+  respawn, bounded retries and quarantine, and a per-spec timeout
+  enforced *inside* the worker (``SIGALRM``); inline serial execution
+  when ``max_workers=0`` or the platform cannot fork.
+* :func:`run_specs` — resolve, then run the misses on the pool.
+  Worker crashes and timeouts surface as structured
+  :class:`SpecFailure`\\ s on the returned :class:`SpecOutcome`\\ s —
+  a sweep never hangs and never loses the rest of the grid.
 * :func:`run_cached` — the in-process memoized entry point the
   experiment drivers share, layered over the same spec/cache machinery
   (set ``REPRO_SWEEP_CACHE_DIR`` to persist across processes).
@@ -36,6 +40,7 @@ that equivalence field-by-field for every registered policy.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -43,9 +48,7 @@ import pickle
 import signal
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -72,8 +75,10 @@ __all__ = [
     "ExperimentSpec",
     "ResultCache",
     "SpecFailure",
+    "SpecLedger",
     "SpecOutcome",
     "SweepJournal",
+    "WorkerSupervisor",
     "clear_memo",
     "default_cache",
     "make_spec",
@@ -93,8 +98,8 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
 #: race rules (``repro lint --effects``) read this marker statically
 #: and treat everything call-reachable from these as shared with the
 #: parent process: module-global writes there are races, module-global
-#: OS handles are fork-unsafe.  Keep it in sync with run_specs().
-WORKER_ENTRY_POINTS = ("_run_chunk", "_run_one", "run_spec")
+#: OS handles are fork-unsafe.  Keep it in sync with WorkerSupervisor.
+WORKER_ENTRY_POINTS = ("_worker_loop", "_run_one", "run_spec")
 
 #: heterocontract anchor (``contract-spec-field``): run inputs that are
 #: deliberately NOT part of the cache key, with the reason a reviewer
@@ -679,9 +684,9 @@ class SpecFailure:
     """A structured per-spec failure (never a raised exception).
 
     ``kind`` is one of ``"timeout"`` (the per-spec budget elapsed),
-    ``"worker-crash"`` (the worker process died — its whole chunk is
-    marked, so innocent chunk-mates may carry this too), or ``"error"``
-    (the simulation raised; ``message`` holds the exception text).
+    ``"worker-crash"`` (the worker process running this spec died), or
+    ``"error"`` (the simulation raised; ``message`` holds the exception
+    text).
     When the raised exception was a :class:`~repro.errors.ReproError`
     subclass, ``error_type`` preserves its class name across the worker
     boundary instead of collapsing the type into the message string.
@@ -805,9 +810,10 @@ class SweepJournal:
 
     def record(
         self, spec: ExperimentSpec, fingerprint: str, outcome: SpecOutcome
-    ) -> None:
+    ) -> dict:
         """Append one spec's outcome; flushed so a kill loses at most
-        the line being written."""
+        the line being written.  Returns the entry as :meth:`load`
+        would read it back."""
         entry: dict = {
             "key": spec.cache_key(fingerprint),
             "label": spec.label,
@@ -838,6 +844,7 @@ class SweepJournal:
                     os.fsync(handle.fileno())
         except OSError:
             pass
+        return entry
 
     def reset(self) -> None:
         """Start a fresh sweep: drop any previous checkpoint."""
@@ -853,6 +860,120 @@ def _resolve_journal(
     if journal is None or isinstance(journal, SweepJournal):
         return journal
     return SweepJournal(journal)
+
+
+# ----------------------------------------------------------------------
+# Resolve and record: the one ledger between a spec and its execution
+# ----------------------------------------------------------------------
+
+
+class SpecLedger:
+    """The resolve/record pair shared by :func:`run_specs` and the
+    ``repro serve`` daemon.
+
+    :meth:`resolve` answers a spec without running it — result cache
+    first, then the sweep journal's deterministic failures (re-running
+    would reproduce them bit-for-bit), plus its transient ones when
+    ``reuse_transients`` is set (a *finished* serve job genuinely ended
+    with them).  :meth:`record` persists one executed spec — cache
+    store, journal append — and reports it to the recorder.  Both feed
+    the optional :class:`~repro.obs.flight.SweepRecorder`; ``copies``
+    counts the spec's deduplicated duplicates so totals match the
+    caller's grid.  Cache and journal are both optional; the journal is
+    loaded once, on the first lookup that needs it.
+    """
+
+    def __init__(
+        self,
+        cache: "ResultCache | None",
+        journal: "SweepJournal | None",
+        fingerprint: str,
+        recorder: "SweepRecorder | None" = None,
+        with_timeline: bool = False,
+    ) -> None:
+        self.cache = cache
+        self.journal = journal
+        self.fingerprint = fingerprint
+        self.recorder = recorder
+        self.with_timeline = with_timeline
+        self._entries: "dict[str, dict] | None" = None
+
+    def resolve(
+        self,
+        spec: ExperimentSpec,
+        copies: int = 1,
+        reuse_transients: bool = False,
+    ) -> "SpecOutcome | None":
+        """The outcome a spec already has, or ``None`` when it must run."""
+        recorder = self.recorder
+        if self.cache is not None:
+            cached = self.cache.lookup(
+                spec, self.fingerprint, with_timeline=self.with_timeline
+            )
+            if cached is not None:
+                if recorder is not None:
+                    recorder.cache_hit(spec.label)
+                return self._report(
+                    SpecOutcome(spec=spec, result=cached, source="cache"),
+                    copies,
+                )
+            if recorder is not None:
+                recorder.cache_miss(spec.label)
+        entry = self._journaled(spec)
+        if entry is None or not (
+            entry.get("kind") == "error"
+            or (reuse_transients and entry.get("status") == "failed")
+        ):
+            return None
+        if recorder is not None:
+            recorder.journal_reused(spec.label)
+        failure = SpecFailure(
+            kind=str(entry.get("kind", "error")),
+            message=str(entry.get("message", "")),
+            error_type=entry.get("error_type"),
+        )
+        return self._report(
+            SpecOutcome(spec=spec, error=failure, source="journal"), copies
+        )
+
+    def _journaled(self, spec: ExperimentSpec) -> "dict | None":
+        if self.journal is None:
+            return None
+        if self._entries is None:
+            self._entries = self.journal.load()
+            if self.recorder is not None:
+                self.recorder.journal_corrupt_lines(
+                    self.journal.corrupt_lines_skipped
+                )
+        return self._entries.get(spec.cache_key(self.fingerprint))
+
+    def record(self, outcome: SpecOutcome, copies: int = 1) -> None:
+        """Persist and report one executed spec's final outcome."""
+        spec = outcome.spec
+        if outcome.ok and self.cache is not None:
+            self.cache.store(spec, self.fingerprint, outcome.result)
+        if self.journal is not None:
+            entry = self.journal.record(spec, self.fingerprint, outcome)
+            if self._entries is not None:
+                self._entries[entry["key"]] = entry
+        self._report(outcome, copies)
+
+    def _report(self, outcome: SpecOutcome, copies: int) -> SpecOutcome:
+        if self.recorder is not None:
+            self.recorder.outcome(
+                outcome.spec.label,
+                outcome.source,
+                "ok" if outcome.ok else "failed",
+                outcome.elapsed_sec,
+                fault_counts=(
+                    outcome.result.fault_counts if outcome.ok else None
+                ),
+                failure_kind=(
+                    outcome.error.kind if outcome.error is not None else None
+                ),
+                copies=copies,
+            )
+        return outcome
 
 
 # ----------------------------------------------------------------------
@@ -900,10 +1021,10 @@ def _run_one(
     start = _wall_sec()
     use_alarm = timeout_sec is not None and _timeout_supported()
     if timeout_sec is not None and not use_alarm:
-        # Graceful fallback: a worker on a non-main thread (the serve
-        # supervisor's serial path) or a platform without SIGALRM runs
-        # without a timeout rather than crashing.  warnings' per-location
-        # registry dedups this to once per process.
+        # Graceful fallback: an inline pool on a non-main thread (the
+        # serve scheduler on a fork-less platform) or a platform without
+        # SIGALRM runs without a timeout rather than crashing.  warnings'
+        # per-location registry dedups this to once per process.
         warnings.warn(
             f"per-spec timeout ({timeout_sec:g}s) unavailable here "
             "(SIGALRM needs the main thread); running without a timeout",
@@ -954,17 +1075,6 @@ def _run_one(
                 )
 
 
-def _run_chunk(
-    specs: "list[ExperimentSpec]",
-    timeout_sec: "float | None",
-    capture_timelines: bool = False,
-) -> "list[tuple[str, object, float]]":
-    """Worker entry point: run a chunk of specs sequentially."""
-    return [
-        _run_one(spec, timeout_sec, capture_timelines) for spec in specs
-    ]
-
-
 def _outcome_from_status(
     spec: ExperimentSpec,
     status: "tuple[str, object, float]",
@@ -990,18 +1100,342 @@ def _outcome_from_status(
     )
 
 
-def _chunked(
-    items: "list[ExperimentSpec]", chunk_size: int
-) -> "list[list[ExperimentSpec]]":
-    return [
-        items[i:i + chunk_size] for i in range(0, len(items), chunk_size)
-    ]
-
-
 def _fork_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+#: Tasks the pool keeps dispatched and unfinished per worker process;
+#: the rest wait in a parent-side deque.  A pipe holds ~64 KiB: with
+#: every task written up front (~300 B each) the parent blocks writing
+#: tasks while the workers block writing results (~1-2 KiB each), a
+#: deadlock past a few hundred specs.  A small window keeps both pipes
+#: far below that.
+_DISPATCH_WINDOW = 4
+
+#: Default wait of one :meth:`WorkerSupervisor.poll`, in seconds.
+_POLL_SEC = 0.05
+
+
+def _worker_loop(
+    tasks, results, slots, index: int, capture_timelines: bool
+) -> None:
+    """Worker process loop: heartbeat, run, report, repeat.
+
+    The heartbeat is a write of the task's dispatch number into this
+    worker's slot of a shared array, made before any simulation work
+    begins.  A write to shared memory outlives its writer, so when a
+    worker dies the parent reads the slot and always knows which task
+    it was running — without a message (and a parent wakeup) per task.
+    Results go back on a ``SimpleQueue``, whose ``put`` writes
+    synchronously in the calling thread.  A ``None`` task is the
+    shutdown sentinel.  Queue failures (parent died; the worker's
+    copies of the parent's pipe ends are closed so it sees one) end the
+    loop quietly — the supervisor owns all error reporting.
+    """
+    # Objects inherited from the parent move to the permanent
+    # generation: the worker's collector neither walks them (no
+    # copy-on-write) nor counts them toward the full-collection
+    # threshold, so cycles left by finished specs are collected instead
+    # of piling up for the worker's whole life.
+    gc.freeze()
+    tasks._writer.close()
+    results._reader.close()
+    while True:
+        try:
+            item = tasks.get()
+        except (EOFError, OSError):
+            break
+        if item is None:
+            break
+        seq, spec, timeout_sec = item
+        slots[index] = seq
+        try:
+            results.put((seq, _run_one(spec, timeout_sec, capture_timelines)))
+        except (EOFError, OSError):
+            break
+
+
+class WorkerSupervisor:
+    """The one worker pool, shared by :func:`run_specs` and the
+    ``repro serve`` scheduler.
+
+    Protocol: :meth:`submit` queues ``(task_id, spec)`` under any
+    hashable id; :meth:`poll` returns settled ``(task_id, SpecOutcome)``
+    pairs.  The pool keeps ``max_workers`` forked processes alive until
+    :meth:`stop` and supervises them while polling:
+
+    * **bounded dispatch** — at most ``_DISPATCH_WINDOW`` tasks per
+      worker are dispatched and unfinished; the rest wait parent-side,
+      so no batch size can wedge the pipes;
+    * **heartbeats** — a worker records which dispatch it is running
+      before it starts (see :func:`_worker_loop`), so a dead worker's
+      task is always known: a crash fails that one spec, never its
+      neighbours;
+    * **respawn** — a dead worker is replaced immediately;
+    * **the retry decision** — a transient failure (``timeout`` or
+      ``worker-crash``) is retried up to ``retries`` times.  A retried
+      task is held in :attr:`retrying` until the caller calls
+      :meth:`release_retries`, so the caller owns the backoff
+      (``run_specs`` sleeps between retry rounds, the daemon releases
+      at once).  A crash with its budget spent is *quarantined*: it
+      settles as a final ``worker-crash`` failure, so one poisoned spec
+      cannot serially kill every worker;
+    * **inline mode** — with ``max_workers=0``, on a platform without
+      ``fork``, or when workers cannot be spawned, :meth:`poll` runs
+      one queued spec in the calling thread through the same
+      :func:`_run_one` path (source ``"serial"``).  There is no process
+      boundary then, so a hard crash takes the caller with it.
+    """
+
+    def __init__(
+        self,
+        max_workers: int = 1,
+        timeout_sec: "float | None" = None,
+        capture_timelines: bool = False,
+        retries: int = 0,
+    ) -> None:
+        if max_workers < 0:
+            raise SweepError(
+                f"max_workers must be >= 0, got {max_workers}"
+            )
+        if retries < 0:
+            raise SweepError(f"retries must be >= 0, got {retries}")
+        self.max_workers = int(max_workers)
+        self.timeout_sec = timeout_sec
+        self.capture_timelines = capture_timelines
+        self.retries = int(retries)
+        #: Workers respawned after a crash (a serve metrics series).
+        self.respawns = 0
+        #: task id -> failed attempt, held until release_retries().
+        self.retrying: "dict[object, SpecOutcome]" = {}
+        self._inline = self.max_workers == 0 or not _fork_available()
+        self._window = _DISPATCH_WINDOW * max(1, self.max_workers)
+        self._started = False
+        self._stopping = False
+        self._context = None
+        self._procs: "list" = []
+        self._tasks = None
+        self._results = None
+        #: Per-worker heartbeat: the dispatch number it last started.
+        self._slots = None
+        #: task id -> spec, for everything submitted but not settled.
+        self._outstanding: "dict[object, ExperimentSpec]" = {}
+        #: Task ids waiting to be dispatched.
+        self._queue: "deque[object]" = deque()
+        #: Dispatch number -> task id, for dispatched unfinished tasks.
+        self._running: "dict[int, object]" = {}
+        self._dispatches = 0
+        #: task id -> retries granted so far.
+        self._retried: "dict[object, int]" = {}
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+
+    @property
+    def mode(self) -> str:
+        """``"forked"`` (supervised processes) or ``"serial"`` (inline)."""
+        return "serial" if self._inline else "forked"
+
+    def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        if self._inline:
+            return
+        import multiprocessing
+
+        self._context = multiprocessing.get_context("fork")
+        self._tasks = self._context.SimpleQueue()
+        self._results = self._context.SimpleQueue()
+        self._slots = self._context.RawArray("q", self.max_workers)
+        try:
+            for index in range(self.max_workers):
+                self._procs.append(self._spawn(index))
+        except (OSError, ValueError):
+            # Workers cannot be spawned (resource limits, exotic
+            # platform): degrade to inline execution, same code path.
+            for process in self._procs:
+                process.terminate()
+            self._procs = []
+            self._inline = True
+
+    def _spawn(self, index: int):
+        self._slots[index] = 0  # dispatch numbers start at 1
+        process = self._context.Process(
+            target=_worker_loop,
+            args=(
+                self._tasks,
+                self._results,
+                self._slots,
+                index,
+                self.capture_timelines,
+            ),
+            daemon=True,
+        )
+        process.start()
+        return process
+
+    def stop(self) -> None:
+        """Shut the pool down; idempotent, never raises."""
+        self._stopping = True
+        for _ in self._procs:
+            try:
+                self._tasks.put(None)
+            except (OSError, ValueError):
+                break
+        for process in self._procs:
+            process.join(timeout=2.0)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=1.0)
+        self._procs = []
+
+    # ------------------------------------------------------------------
+    # Work
+    # ------------------------------------------------------------------
+
+    @property
+    def outstanding(self) -> int:
+        """Tasks submitted but not settled (queued, running, or held)."""
+        return len(self._outstanding)
+
+    def submit(self, task_id: object, spec: ExperimentSpec) -> None:
+        """Queue one spec for execution under ``task_id``."""
+        if not self._started or self._stopping:
+            raise SweepError("worker pool is not running")
+        self._outstanding[task_id] = spec
+        self._queue.append(task_id)
+        self._refill()
+
+    def release_retries(self) -> "list[tuple[object, SpecOutcome, int]]":
+        """Queue every held retry; returns ``(task_id, failed attempt,
+        retry number)`` for each released task."""
+        released = [
+            (task_id, failed, self._retried[task_id])
+            for task_id, failed in self.retrying.items()
+        ]
+        self._queue.extend(self.retrying)
+        self.retrying = {}
+        self._refill()
+        return released
+
+    def poll(
+        self, timeout_sec: float = _POLL_SEC
+    ) -> "list[tuple[object, SpecOutcome]]":
+        """Settled tasks; supervises the pool while collecting them.
+
+        Waits up to ``timeout_sec`` for the first result or worker
+        death, then drains without blocking.  Inline, runs one queued
+        spec instead.
+        """
+        events: "list[tuple[object, SpecOutcome]]" = []
+        if not self._started:
+            return events
+        if self._inline:
+            if self._queue:
+                task_id = self._queue.popleft()
+                spec = self._outstanding[task_id]
+                status = _run_one(
+                    spec, self.timeout_sec, self.capture_timelines
+                )
+                self._settle(
+                    task_id, _outcome_from_status(spec, status, "serial"),
+                    events,
+                )
+            return events
+        from multiprocessing.connection import wait
+
+        wait(
+            [self._results._reader] + [p.sentinel for p in self._procs],
+            max(0.0, timeout_sec),
+        )
+        # Find the dead before draining: a dead worker's last result is
+        # already in the pipe, so the drain settles it and its slot then
+        # names a finished dispatch — no false crash.
+        dead = [
+            index
+            for index, process in enumerate(self._procs)
+            if not process.is_alive()
+        ]
+        try:
+            while not self._results.empty():
+                seq, status = self._results.get()
+                task_id = self._running.pop(seq)
+                spec = self._outstanding[task_id]
+                self._settle(
+                    task_id,
+                    _outcome_from_status(spec, status, "parallel"),
+                    events,
+                )
+        except (OSError, EOFError, pickle.UnpicklingError):
+            pass  # torn message from a worker dying mid-write
+        for index in dead:
+            self._reap(index, events)
+        self._refill()
+        return events
+
+    def _refill(self) -> None:
+        """Dispatch queued tasks up to the window."""
+        if self._inline:
+            return
+        while self._queue and len(self._running) < self._window:
+            task_id = self._queue.popleft()
+            self._dispatches += 1
+            self._running[self._dispatches] = task_id
+            spec = self._outstanding[task_id]
+            self._tasks.put((self._dispatches, spec, self.timeout_sec))
+
+    def _reap(self, index: int, events: list) -> None:
+        """Replace one dead worker and fail the task it was running."""
+        self._procs[index].close()
+        task_id = self._running.pop(self._slots[index], None)
+        self._procs[index] = self._spawn(index)
+        self.respawns += 1
+        if task_id is None:
+            return  # died idle, or right after reporting its task
+        failure = SpecFailure(
+            kind="worker-crash",
+            message="worker process died running this spec",
+        )
+        spec = self._outstanding[task_id]
+        self._settle(
+            task_id,
+            SpecOutcome(spec=spec, error=failure, source="parallel"),
+            events,
+        )
+
+    def _settle(
+        self, task_id: object, outcome: SpecOutcome, events: list
+    ) -> None:
+        """The one retry decision: hold a transient failure for a retry
+        while its budget lasts, else settle the task for the caller."""
+        retried = self._retried.get(task_id, 0)
+        failure = outcome.error
+        if (
+            failure is not None
+            and failure.transient
+            and retried < self.retries
+        ):
+            self._retried[task_id] = retried + 1
+            self.retrying[task_id] = outcome
+            return
+        self._retried.pop(task_id, None)
+        del self._outstanding[task_id]
+        if failure is not None and failure.kind == "worker-crash":
+            outcome = dataclasses.replace(
+                outcome,
+                error=SpecFailure(
+                    kind="worker-crash",
+                    message=(
+                        f"{failure.message}; quarantined after "
+                        f"{retried + 1} run(s)"
+                    ),
+                ),
+            )
+        events.append((task_id, outcome))
 
 
 ProgressFn = Callable[[SpecOutcome, int, int], None]
@@ -1038,7 +1472,6 @@ def run_specs(
     max_workers: "int | None" = 1,
     cache: "ResultCache | str | Path | None" = None,
     timeout_sec: "float | None" = None,
-    chunk_size: "int | None" = None,
     progress: "Optional[ProgressFn]" = None,
     fingerprint: "str | None" = None,
     capture_timelines: bool = False,
@@ -1050,11 +1483,13 @@ def run_specs(
 ) -> "list[SpecOutcome]":
     """Execute a grid, returning one :class:`SpecOutcome` per input spec.
 
-    Duplicate specs are simulated once and fanned back out.  Cache hits
-    (when ``cache`` is given) skip simulation entirely.  ``max_workers``
-    above 1 fans cache misses out over a forked process pool with
-    chunked scheduling; ``max_workers=1``, ``max_workers=None`` on a
-    single-core host, or a platform without ``fork`` all degrade to
+    Duplicate specs are simulated once and fanned back out.  Each
+    distinct spec is first resolved by a :class:`SpecLedger` (cache
+    hits and journaled deterministic failures skip simulation); the
+    rest run on one :class:`WorkerSupervisor`.  ``max_workers`` above 1
+    forks that many supervised workers — a crashing spec fails alone,
+    its neighbours carry on; ``max_workers=1``, ``max_workers=None`` on
+    a single-core host, or a platform without ``fork`` all degrade to
     in-process serial execution of the same code path.  ``timeout_sec``
     bounds each spec's wall-clock budget (enforced in the executing
     process via ``SIGALRM`` where available).  ``progress`` is invoked
@@ -1064,13 +1499,14 @@ def run_specs(
     whole sweep to uncached serial execution (with a warning) instead
     of failing; transient failures — timeouts and worker crashes, never
     deterministic simulation errors — are retried up to ``retries``
-    times with exponential backoff (``retry_backoff_sec`` doubling per
-    round, stretched by up to ``retry_jitter`` as a fraction —
-    deterministically seeded from the retrying specs' cache keys, so
-    backoff stays reproducible while concurrent sweeps sharing a cache
-    directory de-synchronize instead of thundering-herding it); and a
-    ``journal`` checkpoints every executed spec so an interrupted sweep
-    can resume, skipping completed work.
+    times in rounds on the same pool, with exponential backoff between
+    rounds (``retry_backoff_sec`` doubling per round, stretched by up
+    to ``retry_jitter`` as a fraction — deterministically seeded from
+    the retrying specs' cache keys, so backoff stays reproducible while
+    concurrent sweeps sharing a cache directory de-synchronize instead
+    of thundering-herding it); and a ``journal`` checkpoints every
+    executed spec so an interrupted sweep can resume, skipping
+    completed work.
 
     ``capture_timelines`` attaches an in-memory telemetry bus to every
     simulated spec so each ``RunResult`` carries its per-epoch timeline.
@@ -1103,19 +1539,17 @@ def run_specs(
     ):
         fingerprint = source_fingerprint()
     outcomes: "dict[int, SpecOutcome]" = {}
-    done = 0
-
-    def _record(index: int, outcome: SpecOutcome) -> None:
-        nonlocal done
-        outcomes[index] = outcome
-        done += 1
-        if progress is not None:
-            progress(outcome, done, len(ordered))
 
     # Dedup: first index of each distinct spec does the work.
     pending: "dict[ExperimentSpec, list[int]]" = {}
     for index, spec in enumerate(ordered):
         pending.setdefault(spec, []).append(index)
+
+    def _fan_out(spec: ExperimentSpec, outcome: SpecOutcome) -> None:
+        for index in pending[spec]:
+            outcomes[index] = outcome
+            if progress is not None:
+                progress(outcome, len(outcomes), len(ordered))
 
     if max_workers is None:
         max_workers = os.cpu_count() or 1
@@ -1126,235 +1560,61 @@ def run_specs(
             max_workers=max_workers,
             cache=resolved_cache,
         )
-
-    # Cache pass (in the parent: workers never touch the cache, so a
-    # broken worker cannot corrupt it).
+    # Resolve in the parent: workers never touch cache or journal, so a
+    # broken worker cannot corrupt them.
+    ledger = SpecLedger(
+        resolved_cache,
+        resolved_journal,
+        fingerprint or "",
+        recorder,
+        with_timeline=capture_timelines,
+    )
     misses: "list[ExperimentSpec]" = []
     for spec, indexes in pending.items():
-        cached = (
-            resolved_cache.lookup(
-                spec, fingerprint, with_timeline=capture_timelines
-            )
-            if resolved_cache is not None
-            else None
-        )
-        if cached is not None:
-            if recorder is not None:
-                recorder.cache_hit(spec.label)
-                recorder.outcome(
-                    spec.label,
-                    "cache",
-                    "ok",
-                    0.0,
-                    fault_counts=cached.fault_counts,
-                    copies=len(indexes),
-                )
-            for index in indexes:
-                _record(
-                    index, SpecOutcome(spec=spec, result=cached, source="cache")
-                )
-        else:
-            if recorder is not None and resolved_cache is not None:
-                recorder.cache_miss(spec.label)
+        outcome = ledger.resolve(spec, copies=len(indexes))
+        if outcome is None:
             misses.append(spec)
-
-    # Journal pass: a resumed sweep reuses journaled *deterministic*
-    # failures (re-simulating reproduces the same error); transient
-    # failures and journaled successes whose cache entry is gone re-run.
-    if resolved_journal is not None and misses:
-        journaled = resolved_journal.load()
-        if recorder is not None:
-            recorder.journal_corrupt_lines(
-                resolved_journal.corrupt_lines_skipped
-            )
-        remaining: "list[ExperimentSpec]" = []
-        for spec in misses:
-            entry = journaled.get(spec.cache_key(fingerprint or ""))
-            if entry is not None and entry.get("kind") == "error":
-                failure = SpecFailure(
-                    kind="error",
-                    message=str(entry.get("message", "")),
-                    error_type=entry.get("error_type"),
-                )
-                if recorder is not None:
-                    recorder.journal_reused(spec.label)
-                    recorder.outcome(
-                        spec.label,
-                        "journal",
-                        "failed",
-                        0.0,
-                        failure_kind="error",
-                        copies=len(pending[spec]),
-                    )
-                for index in pending[spec]:
-                    _record(
-                        index,
-                        SpecOutcome(spec=spec, error=failure, source="journal"),
-                    )
-            else:
-                remaining.append(spec)
-        misses = remaining
-
-    def _finish(spec: ExperimentSpec, outcome: SpecOutcome) -> None:
-        if outcome.ok and resolved_cache is not None:
-            resolved_cache.store(spec, fingerprint, outcome.result)
-        if resolved_journal is not None:
-            resolved_journal.record(spec, fingerprint or "", outcome)
-        if recorder is not None:
-            recorder.outcome(
-                spec.label,
-                outcome.source,
-                "ok" if outcome.ok else "failed",
-                outcome.elapsed_sec,
-                fault_counts=(
-                    outcome.result.fault_counts if outcome.ok else None
-                ),
-                failure_kind=(
-                    outcome.error.kind if outcome.error is not None else None
-                ),
-                copies=len(pending[spec]),
-            )
-        for index in pending[spec]:
-            _record(index, outcome)
-
-    OutcomeFn = Callable[[ExperimentSpec, SpecOutcome], None]
-
-    def _run_serially(
-        round_specs: "list[ExperimentSpec]", on_outcome: "OutcomeFn"
-    ) -> None:
-        for spec in round_specs:
-            on_outcome(spec, _outcome_from_status(
-                spec,
-                _run_one(spec, timeout_sec, capture_timelines),
-                "serial",
-            ))
-
-    def _execute_round(
-        round_specs: "list[ExperimentSpec]", on_outcome: "OutcomeFn"
-    ) -> None:
-        """Run one batch of specs, parallel when possible."""
-        # max_workers > 1 always means worker-process isolation (even
-        # for a single miss): a crashing simulation must never take
-        # down the caller's process.
-        if not (max_workers > 1 and round_specs and _fork_available()):
-            _run_serially(round_specs, on_outcome)
-            return
-        if chunk_size is None:
-            # Aim for ~4 chunks per worker: coarse enough to amortize
-            # task dispatch, fine enough to keep the pool busy.
-            round_chunk = max(1, len(round_specs) // (max_workers * 4))
         else:
-            round_chunk = chunk_size
-        chunks = _chunked(round_specs, round_chunk)
-        import multiprocessing
+            _fan_out(spec, outcome)
 
-        context = multiprocessing.get_context("fork")
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=context
-            )
-        except (OSError, NotImplementedError, ValueError):
-            # Pool creation itself failed (resource limits, exotic
-            # platform): graceful serial fallback, same execution path.
-            _run_serially(round_specs, on_outcome)
-            return
-
-        try:
-            futures = {
-                executor.submit(
-                    _run_chunk, chunk, timeout_sec, capture_timelines
-                ): chunk
-                for chunk in chunks
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                try:
-                    statuses = future.result()
-                except BrokenProcessPool:
-                    # The worker died mid-chunk (hard crash); every spec
-                    # in the chunk is marked rather than re-run, because
-                    # the crasher would take the parent down with it.
-                    failure = SpecFailure(
-                        kind="worker-crash",
-                        message=(
-                            "worker process died; chunk of "
-                            f"{len(chunk)} spec(s) abandoned"
-                        ),
+    # max_workers > 1 always means worker-process isolation (even for a
+    # single miss): a crashing simulation must never take down the
+    # caller's process.  A fully resolved grid forks nothing.
+    pool = WorkerSupervisor(
+        max_workers if max_workers > 1 and misses else 0,
+        timeout_sec,
+        capture_timelines,
+        retries,
+    )
+    pool.start()
+    try:
+        for task_id, spec in enumerate(misses):
+            pool.submit(task_id, spec)
+        attempt = 0
+        while pool.outstanding:
+            for _, outcome in pool.poll():
+                spec = outcome.spec
+                ledger.record(outcome, copies=len(pending[spec]))
+                _fan_out(spec, outcome)
+            if pool.retrying and len(pool.retrying) == pool.outstanding:
+                # Round barrier: only held retries are left.  Back off
+                # once for the whole round, then run it on the same pool.
+                attempt += 1
+                stretch = 1.0
+                if retry_jitter > 0:
+                    stretch += retry_jitter * _retry_jitter_fraction(
+                        [failed.spec for failed in pool.retrying.values()],
+                        fingerprint or "",
+                        attempt,
                     )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
+                _sleep_backoff(retry_backoff_sec * stretch, attempt)
+                for _, failed, retry in pool.release_retries():
+                    if recorder is not None:
+                        recorder.retry(
+                            failed.spec.label, failed.error.kind, retry
                         )
-                except ReproError as exc:
-                    failure = SpecFailure(
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                        error_type=type(exc).__name__,
-                    )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
-                        )
-                except Exception as exc:  # noqa: BLE001 — structured outcome
-                    failure = SpecFailure(
-                        kind="error", message=f"{type(exc).__name__}: {exc}"
-                    )
-                    for spec in chunk:
-                        on_outcome(
-                            spec,
-                            SpecOutcome(
-                                spec=spec, error=failure, source="parallel"
-                            ),
-                        )
-                else:
-                    for spec, status in zip(chunk, statuses):
-                        on_outcome(
-                            spec,
-                            _outcome_from_status(spec, status, "parallel"),
-                        )
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    # Bounded-retry loop: transient failures (timeouts, worker crashes)
-    # re-run with exponential backoff; everything else finishes on its
-    # first outcome.  Deterministic errors never retry — the simulator
-    # would reproduce them bit-for-bit.
-    to_run = misses
-    attempt = 0
-    while to_run:
-        retryable: "list[ExperimentSpec]" = []
-
-        def _dispatch(spec: ExperimentSpec, outcome: SpecOutcome) -> None:
-            if (
-                attempt < retries
-                and outcome.error is not None
-                and outcome.error.transient
-            ):
-                if recorder is not None:
-                    recorder.retry(
-                        spec.label, outcome.error.kind, attempt + 1
-                    )
-                retryable.append(spec)
-            else:
-                _finish(spec, outcome)
-
-        _execute_round(to_run, _dispatch)
-        if not retryable:
-            break
-        attempt += 1
-        stretch = 1.0
-        if retry_jitter > 0:
-            stretch += retry_jitter * _retry_jitter_fraction(
-                retryable, fingerprint or "", attempt
-            )
-        _sleep_backoff(retry_backoff_sec * stretch, attempt)
-        to_run = retryable
+    finally:
+        pool.stop()
     if recorder is not None:
         recorder.sweep_finished(cache=resolved_cache)
     return [outcomes[i] for i in range(len(ordered))]
@@ -1408,18 +1668,17 @@ def run_cached(
     if memoized is not None:
         return memoized
     resolved_cache = _resolve_cache(cache) or default_cache()
-    fingerprint = ""
-    if resolved_cache is not None:
-        fingerprint = source_fingerprint()
-        cached = resolved_cache.lookup(spec, fingerprint)
-        if cached is not None:
-            _MEMO[spec] = cached
-            return cached
-    result = run_spec(spec)
-    _MEMO[spec] = result
-    if resolved_cache is not None:
-        resolved_cache.store(spec, fingerprint, result)
-    return result
+    ledger = SpecLedger(
+        resolved_cache,
+        None,
+        source_fingerprint() if resolved_cache is not None else "",
+    )
+    outcome = ledger.resolve(spec)
+    if outcome is None:
+        outcome = SpecOutcome(spec=spec, result=run_spec(spec))
+        ledger.record(outcome)
+    _MEMO[spec] = outcome.result
+    return outcome.result
 
 
 def clear_memo() -> None:

@@ -260,7 +260,6 @@ def test_cli_serve_parser_defaults():
     assert args.workers == 1
     assert args.queue_limit == 16
     assert args.client_limit == 4
-    assert args.max_crashes == 2
     assert args.retries == 1
     assert args.unix_socket is None
 

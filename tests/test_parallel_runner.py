@@ -239,12 +239,12 @@ def scratch_workloads():
 
 
 def test_max_workers_one_never_forks(monkeypatch):
-    """The serial fallback must not touch ProcessPoolExecutor at all."""
+    """The serial fallback must never spawn a worker process."""
 
     def _boom(*args, **kwargs):  # pragma: no cover - defensive
-        raise AssertionError("serial path created a process pool")
+        raise AssertionError("serial path spawned a worker process")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _boom)
+    monkeypatch.setattr(parallel.WorkerSupervisor, "_spawn", _boom)
     outcomes = run_specs(
         [make_spec("nginx", "hetero-lru", epochs=EPOCHS)], max_workers=1
     )
@@ -286,7 +286,6 @@ def test_parallel_timeout_spares_the_rest_of_the_grid(scratch_workloads):
         ],
         max_workers=2,
         timeout_sec=0.3,
-        chunk_size=1,
     )
     assert outcomes[0].error is not None
     assert outcomes[0].error.kind == "timeout"
@@ -298,11 +297,64 @@ def test_worker_crash_is_structured_not_hung(scratch_workloads):
     outcomes = run_specs(
         [make_spec(_CrashyWorkload.name, "hetero-lru", epochs=1)],
         max_workers=2,
-        chunk_size=1,
     )
     assert not outcomes[0].ok
     assert outcomes[0].error.kind == "worker-crash"
     assert "worker process died" in outcomes[0].error.message
+
+
+@needs_fork
+def test_worker_crash_fails_only_the_crasher(scratch_workloads):
+    # Heartbeat attribution: the dead worker's own spec fails, and its
+    # healthy neighbours (some queued behind it on the same pool) come
+    # back bit-identical to a serial run.
+    healthy = [
+        make_spec(app, policy, epochs=EPOCHS)
+        for app in WORKLOADS
+        for policy in ("hetero-lru", "heap-od", "vmm-exclusive")
+    ] + [make_spec("nginx", "hetero-coordinated", epochs=EPOCHS)]
+    crasher = make_spec(_CrashyWorkload.name, "hetero-lru", epochs=1)
+    outcomes = run_specs([crasher] + healthy, max_workers=2)
+    assert outcomes[0].error is not None
+    assert outcomes[0].error.kind == "worker-crash"
+    serial = run_specs(healthy, max_workers=1)
+    assert all(outcome.ok for outcome in outcomes[1:])
+    assert [o.source for o in outcomes[1:]] == ["parallel"] * len(healthy)
+    assert [result_dict(o.result) for o in outcomes[1:]] == [
+        result_dict(o.result) for o in serial
+    ]
+
+
+def finishes_within(seconds: float, fn):
+    """Run ``fn`` on a daemon thread; its result, or a failed test when
+    it is still blocked after ``seconds`` (a deadlock must not hang the
+    suite)."""
+    import threading
+
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.setdefault("value", fn()), daemon=True
+    )
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds:g}s"
+    return box["value"]
+
+
+@needs_fork
+def test_large_batch_runs_on_the_pool_without_deadlock():
+    # More specs than the task and result pipes can buffer at once: the
+    # pool's bounded dispatch keeps both sides moving.
+    specs = [
+        make_spec("nginx", "hetero-lru", epochs=1, seed=seed)
+        for seed in range(600)
+    ]
+    outcomes = finishes_within(
+        120, lambda: run_specs(specs, max_workers=2)
+    )
+    assert len(outcomes) == len(specs)
+    assert all(outcome.ok for outcome in outcomes)
+    assert {outcome.source for outcome in outcomes} == {"parallel"}
 
 
 def test_simulation_error_is_structured():
