@@ -22,6 +22,7 @@ from __future__ import annotations
 from repro.core.heap_io_slab_od import HeapIoSlabOdPolicy
 from repro.core.policy import PolicyBinding, register_policy
 from repro.errors import OutOfMemoryError, ReproError
+from repro.guestos.kernel import weak_method
 from repro.guestos.vma import Vma
 from repro.mem.extent import ExtentState, PageExtent
 from repro.units import NS_PER_US
@@ -53,8 +54,10 @@ class HeteroLruPolicy(HeapIoSlabOdPolicy):
         kernel = binding.kernel
         for lru in kernel.lru.values():
             lru.inactive_after_epochs = self.inactive_after_epochs
-        kernel.page_cache.add_io_complete_hook(self._on_io_complete)
-        kernel.address_space.add_unmap_hook(self._on_unmap)
+        # Weak: the binding already points at the kernel, so strong
+        # hooks would make the pair a reference cycle.
+        kernel.page_cache.add_io_complete_hook(weak_method(self._on_io_complete))
+        kernel.address_space.add_unmap_hook(weak_method(self._on_unmap))
 
     # ------------------------------------------------------------------
     # Eager event triggers

@@ -8,7 +8,8 @@ Two entry points matter to callers:
 
 * :meth:`allocate_pages` — decompose an arbitrary page count into buddy
   blocks, falling back to smaller orders under fragmentation and rolling
-  back cleanly when the request cannot be satisfied.
+  back cleanly when the request cannot be satisfied.  Contiguous blocks
+  are returned joined, as maximal runs.
 * :meth:`free_span` — return *any* previously-allocated range, including
   fragments produced by the per-CPU free lists.  A frame bitmask makes
   double frees and frees of never-allocated frames hard errors.
@@ -75,7 +76,7 @@ class BuddyAllocator:
         offset = frame - self.base
         if not 0 <= offset < self.total_frames:
             raise AllocationError(f"frame {frame} outside span")
-        return bool((self._free_mask >> offset) & 1)
+        return self._mask_full(offset, 1)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -106,7 +107,8 @@ class BuddyAllocator:
         return FrameRange(start, count)
 
     def allocate_pages(self, pages: int) -> list[FrameRange]:
-        """Allocate ``pages`` frames as buddy blocks (largest-first).
+        """Allocate ``pages`` frames as buddy blocks (largest-first),
+        returned as maximal runs: contiguous blocks are joined.
 
         Falls back to smaller orders under fragmentation; on failure the
         partial allocation is rolled back and the allocator is unchanged.
@@ -131,8 +133,11 @@ class BuddyAllocator:
                 if order < 0:
                     order = want_order
                 block = self.allocate_block(order)
-                granted.append(block)
                 remaining -= block.count
+                if granted and granted[-1].end == block.start:
+                    head = granted.pop()
+                    block = FrameRange(head.start, head.count + block.count)
+                granted.append(block)
         except OutOfMemoryError:
             for block in granted:
                 self.free_span(block.start, block.count)
@@ -198,6 +203,15 @@ class BuddyAllocator:
             order += 1
         self._free_lists[order].add(start)
 
+    def _mask_full(self, offset: int, count: int) -> bool:
+        """Whether every frame in ``[offset, offset + count)`` (span
+        relative) is free."""
+        window = ((1 << count) - 1) << offset
+        return self._free_mask & window == window
+
+    def _mask_popcount(self) -> int:
+        return bin(self._free_mask).count("1")
+
     def _mask_set(self, start: int, count: int) -> None:
         self._free_mask |= ((1 << count) - 1) << (start - self.base)
 
@@ -215,9 +229,7 @@ class BuddyAllocator:
                     raise AllocationError(
                         f"misaligned free block at {block_start} order {order}"
                     )
-                offset = block_start - self.base
-                window = ((1 << size) - 1) << offset
-                if (self._free_mask & window) != window:
+                if not self._mask_full(block_start - self.base, size):
                     raise AllocationError("free list and mask disagree")
                 seen.append((block_start, block_start + size))
                 total_free += size
@@ -229,5 +241,5 @@ class BuddyAllocator:
             raise AllocationError(
                 f"free accounting mismatch: {total_free} != {self._free_frames}"
             )
-        if bin(self._free_mask).count("1") != self._free_frames:
+        if self._mask_popcount() != self._free_frames:
             raise AllocationError("mask population does not match free count")

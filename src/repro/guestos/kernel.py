@@ -17,6 +17,7 @@ pages and pages that landed on a FastMem node, per epoch and cumulatively.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import AllocationError, OutOfMemoryError, SwapWriteError
@@ -60,6 +61,23 @@ class AllocStats:
     def merge(self, other: "AllocStats") -> None:
         self.requested_pages += other.requested_pages
         self.fast_granted_pages += other.fast_granted_pages
+
+
+def weak_method(method):
+    """A callable for the bound ``method`` that does not keep its object
+    alive; once the object is gone, calls do nothing.  Callbacks a
+    kernel holds back into its owners go through this, so a finished
+    simulation is freed by reference counting instead of waiting for
+    the cyclic garbage collector."""
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        bound = ref()
+        if bound is not None:
+            return bound(*args)
+        return None
+
+    return call
 
 
 def _new_stats() -> dict[PageType, AllocStats]:
@@ -119,7 +137,10 @@ class GuestKernel:
             node_id: make_lru(node_id) for node_id in self.nodes
         }
         self.page_cache = PageCache()
-        self.slab = SlabAllocator(self._slab_page_source, self._slab_page_release)
+        self.slab = SlabAllocator(
+            weak_method(self._slab_page_source),
+            weak_method(self._slab_page_release),
+        )
         self.address_space = AddressSpace()
         self.extents: dict[int, PageExtent] = {}
         self.regions: dict[str, list[int]] = {}

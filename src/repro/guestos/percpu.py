@@ -100,7 +100,8 @@ class PerCpuFreeLists:
     def free(self, cpu: int, node_id: int, ranges: list[FrameRange]) -> None:
         """Return pages to the CPU row; spill to buddy above capacity.
 
-        Only whole ranges can be spilled back (they are buddy blocks).
+        Spills return whole ranges, newest first, so a row may end
+        below capacity by up to one range.
         """
         row = self._row(cpu, node_id)
         for frame_range in ranges:

@@ -13,9 +13,9 @@ replaces all three with flat array-backed structures:
   an optional shared-memory numpy ``uint8`` view for bulk fills and the
   invariant popcount) instead of one Python big integer.
 * :class:`FastBuddy` — a drop-in :class:`BuddyAllocator` using the
-  bitmap, per-order min-heaps with lazy deletion (reproducing the
-  reference ``min(set)`` block choice in O(log n)), and
-  ``FrameRange.unchecked`` construction.
+  bitmap, free max-order blocks kept as sorted contiguous runs (granted
+  lowest-first, as the reference ``min(set)`` picks them, and granted or
+  freed a run at a time), and ``FrameRange.unchecked`` construction.
 * :class:`FastSplitLru` — running active/inactive page counters so the
   per-sample ``occupancy_snapshot`` stops walking every extent.
 * :class:`DemandAccumulator` / :func:`fast_memory_demands` — flat
@@ -39,8 +39,8 @@ dependency-free.
 
 from __future__ import annotations
 
-import heapq
 import warnings
+from bisect import bisect_left as _bisect
 from typing import TYPE_CHECKING
 
 from repro.errors import AllocationError, OutOfMemoryError
@@ -86,14 +86,7 @@ _BULK_FILL_FRAMES = 2048
 
 # Hot-loop aliases: module-level bindings skip the attribute lookups
 # that dominate at ~100ns-per-operation scale.
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-_heapify = heapq.heapify
 _unchecked = FrameRange.unchecked
-#: Pre-built zero/one runs for clearing or setting one buddy block per
-#: order, sparing a fresh ``bytes`` temporary per operation.
-_ZERO_RUN = tuple(bytes(1 << order) for order in range(MAX_ORDER + 1))
-_ONE_RUN = tuple(b"\x01" * (1 << order) for order in range(MAX_ORDER + 1))
 _new_instance = object.__new__
 
 
@@ -203,14 +196,6 @@ class FrameBitmap:
         else:
             self.buf[offset:offset + count] = bytes(count)
 
-    def any_set(self, offset: int, end: int) -> bool:
-        """True if any entry in ``[offset, end)`` is non-zero."""
-        return self.buf.find(1, offset, end) != -1
-
-    def any_clear(self, offset: int, end: int) -> bool:
-        """True if any entry in ``[offset, end)`` is zero."""
-        return self.buf.find(0, offset, end) != -1
-
     def popcount(self) -> int:
         """Number of set entries across the whole map."""
         if self.view is not None:
@@ -218,18 +203,102 @@ class FrameBitmap:
         return sum(self.buf)
 
 
+class _BlockRuns:
+    """The free list of the top order: free max-order blocks kept as
+    sorted, disjoint, never-adjacent runs ``[starts[i], ends[i])``.
+
+    Its length is the number of free blocks and iterating it yields
+    their starts, so the reference code that reads
+    ``_free_lists[max_order]`` works on it unchanged.  The lowest free
+    block is ``starts[0]``, the one the reference ``min(set)`` picks.
+    """
+
+    __slots__ = ("starts", "ends", "size", "blocks")
+
+    def __init__(self, order: int) -> None:
+        self.starts: "list[int]" = []
+        self.ends: "list[int]" = []
+        self.size = 1 << order
+        self.blocks = 0
+
+    def __len__(self) -> int:
+        return self.blocks
+
+    def __iter__(self):
+        size = self.size
+        for start, end in zip(self.starts, self.ends):
+            yield from range(start, end, size)
+
+    def insert(self, start: int, end: int) -> None:
+        """Add the blocks ``[start, end)``, joining a run that ends at
+        ``start`` or begins at ``end``."""
+        starts = self.starts
+        ends = self.ends
+        self.blocks += (end - start) // self.size
+        index = _bisect(starts, start)
+        joins_next = index < len(starts) and starts[index] == end
+        if index and ends[index - 1] == start:
+            if joins_next:
+                ends[index - 1] = ends.pop(index)
+                del starts[index]
+            else:
+                ends[index - 1] = end
+        elif joins_next:
+            starts[index] = start
+        else:
+            starts.insert(index, start)
+            ends.insert(index, end)
+
+    def take(self, blocks: int) -> "list[tuple[int, int]]":
+        """Remove the ``blocks`` lowest blocks; returns them as
+        ``(start, count)`` runs in ascending order."""
+        starts = self.starts
+        ends = self.ends
+        need = blocks * self.size
+        self.blocks -= blocks
+        taken = []
+        used = 0
+        while need:
+            start = starts[used]
+            count = ends[used] - start
+            if count > need:
+                count = need
+                starts[used] = start + need
+            else:
+                used += 1
+            taken.append((start, count))
+            need -= count
+        del starts[:used]
+        del ends[:used]
+        return taken
+
+    def check(self) -> None:
+        """Raise unless the runs are sorted, whole blocks, never
+        adjacent, and counted in :attr:`blocks`."""
+        starts = self.starts
+        ends = self.ends
+        if any(
+            end <= start or (end - start) % self.size
+            for start, end in zip(starts, ends)
+        ) or any(end >= start for end, start in zip(ends, starts[1:])):
+            raise AllocationError("max-order runs not sorted, whole and maximal")
+        if sum(ends) - sum(starts) != self.blocks * self.size:
+            raise AllocationError("max-order block count mismatch")
+
+
 class FastBuddy(BuddyAllocator):
-    """Array-backed drop-in for :class:`BuddyAllocator`.
+    """Array-backed drop-in for :class:`BuddyAllocator` that grants and
+    frees contiguous runs.
 
     Three substitutions, none visible to callers:
 
     * the big-int ``_free_mask`` becomes a :class:`FrameBitmap`
-      (O(count) slice writes instead of O(span-bits) shifts);
-    * each order's free list keeps a companion min-heap with lazy
-      deletion, so picking the lowest free block is O(log n) instead of
-      the reference ``min(set)`` rescan — and provably picks the *same*
-      block, which is what keeps allocation sequences bit-identical;
-    * granted blocks are built with ``FrameRange.unchecked`` (the split
+      (one slice write per run instead of O(span-bits) shifts);
+    * the max-order free list is a :class:`_BlockRuns`, so a batch of
+      max-order blocks is granted, and a freed span's max-order middle
+      inserted, in O(runs) instead of O(blocks).  Lower orders keep the
+      reference per-order sets, which stay short, so ``min()`` is cheap;
+    * granted ranges are built with ``FrameRange.unchecked`` (the split
       arithmetic guarantees validity).
     """
 
@@ -241,27 +310,14 @@ class FastBuddy(BuddyAllocator):
         self.base = base
         self.total_frames = frames
         self.max_order = max_order
-        self._free_lists = [set() for _ in range(max_order + 1)]
-        #: Per-order min-heaps shadowing ``_free_lists``.  Entries are
-        #: deleted lazily: the heap top is popped past starts no longer
-        #: in the live set before use.
-        self._heaps = [[] for _ in range(max_order + 1)]
+        self._top = _BlockRuns(max_order)
+        self._free_lists = [*(set() for _ in range(max_order)), self._top]
         self._free_frames = 0
         self._mask = FrameBitmap(frames)
         #: The bitmap's bytearray, aliased for the hot paths (slice
         #: assignment never reallocates it, so the alias stays valid).
         self._mask_bytes = self._mask.buf
-        self._insert_span(base, frames)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def is_free(self, frame: int) -> bool:
-        offset = frame - self.base
-        if not 0 <= offset < self.total_frames:
-            raise AllocationError(f"frame {frame} outside span")
-        return bool(self._mask.buf[offset])
+        self._free_spans((_unchecked(base, frames),))
 
     # ------------------------------------------------------------------
     # Allocation
@@ -270,154 +326,118 @@ class FastBuddy(BuddyAllocator):
     def allocate_block(self, order: int) -> FrameRange:
         if not 0 <= order <= self.max_order:
             raise AllocationError(f"order {order} out of range")
-        return self._take_block(order)
+        return _unchecked(self._take_block(order), 1 << order)
 
-    def _live_heap(self, order: int) -> "list[int]":
-        """The order's heap, compacted when lazy deletion has let dead
-        entries (buddies coalesced away without ever reaching the top)
-        outnumber the live set.  Keeps heap size — and so push/pop cost
-        and memory — proportional to the live free list on arbitrarily
-        long runs."""
-        heap = self._heaps[order]
-        live = self._free_lists[order]
-        if len(heap) > (len(live) << 2) + 8:
-            heap[:] = live
-            _heapify(heap)
-        return heap
-
-    def _take_block(self, order: int) -> FrameRange:
-        """The reference allocate_block body with the scan replaced by
-        the heap pop; split-down and mask clear are unchanged."""
+    def _take_block(self, order: int) -> int:
+        """The reference allocate_block, returning the block's start."""
+        start, source = self._pop_lowest(order)
         lists = self._free_lists
-        live = lists[order]
-        if live:
-            # Exact-order hit: no upward search, no split-down.
-            heap = self._live_heap(order)
-            while heap[0] not in live:
-                _heappop(heap)
-            start = _heappop(heap)
-            live.discard(start)
-            count = 1 << order
-            self._free_frames -= count
-            offset = start - self.base
-            self._mask_bytes[offset:offset + count] = (
-                _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-            )
-            return _unchecked(start, count)
-        source = order
+        while source > order:
+            source -= 1
+            lists[source].add(start + (1 << source))
+        count = 1 << order
+        self._free_frames -= count
+        offset = start - self.base
+        self._mask_bytes[offset:offset + count] = bytes(count)
+        return start
+
+    def _pop_lowest(self, order: int) -> "tuple[int, int]":
+        """Remove the lowest block of the smallest non-empty order >=
+        ``order``; returns its start and order."""
+        lists = self._free_lists
         max_order = self.max_order
-        while source <= max_order and not lists[source]:
+        source = order
+        while source < max_order and not lists[source]:
             source += 1
-        if source > max_order:
+        if source < max_order:
+            bucket = lists[source]
+            start = min(bucket)
+            bucket.remove(start)
+        elif self._top.blocks:
+            ((start, _),) = self._top.take(1)
+        else:
             raise OutOfMemoryError(
                 f"no free block of order >= {order} "
                 f"({self._free_frames} frames free)"
             )
-        heap, live = self._live_heap(source), lists[source]
-        while heap[0] not in live:
-            _heappop(heap)
-        start = _heappop(heap)
-        live.discard(start)
-        heaps = self._heaps
-        while source > order:
-            source -= 1
-            buddy = start + (1 << source)
-            lists[source].add(buddy)
-            _heappush(heaps[source], buddy)
-        count = 1 << order
-        self._free_frames -= count
-        offset = start - self.base
-        self._mask_bytes[offset:offset + count] = (
-            _ZERO_RUN[order] if order <= MAX_ORDER else bytes(count)
-        )
-        return _unchecked(start, count)
+        return start, source
 
     def allocate_pages(self, pages: int) -> "list[FrameRange]":
+        if "allocate_block" in self.__dict__:
+            # The frame sanitizer wraps allocate_block per instance; its
+            # wrapper must see every block, so take the reference's
+            # block-at-a-time loop.
+            return super().allocate_pages(pages)
         if pages <= 0:
             raise AllocationError(f"page count must be positive: {pages}")
         if pages > self._free_frames:
             raise OutOfMemoryError(
                 f"requested {pages} pages, only {self._free_frames} free"
             )
+        # The reference loop cannot run out part-way (so needs no
+        # rollback here): ``remaining`` never exceeds the free frames,
+        # and when no order up to ``want_order`` has a block, a larger
+        # one exists to split.
         granted: "list[FrameRange]" = []
-        append = granted.append
         remaining = pages
         lists = self._free_lists
+        top = self._top
         max_order = self.max_order
-        # The frame sanitizer intercepts allocation by installing a
-        # per-instance allocate_block wrapper; honour it when present,
-        # otherwise go straight to the implementation (the wrapper's
-        # range check is vacuous for internally computed orders).
-        wrapper = self.__dict__.get("allocate_block")
-        take = wrapper if wrapper is not None else self._take_block
-        heaps = self._heaps
+        fill = self._mask.fill
         mask = self._mask_bytes
         base = self.base
-        try:
-            while remaining > 0:
-                want_order = min(max_order, remaining.bit_length() - 1)
-                order = want_order
+        # The open run [run_start, run_end): blocks that continue it are
+        # joined, so callers get the reference's maximal runs.
+        run_start = run_end = -1
+        while remaining > 0:
+            order = remaining.bit_length() - 1
+            if order >= max_order and top.blocks:
+                # Max-order hit, batched: between same-order takes
+                # nothing is freed or split, so the reference loop would
+                # take these same lowest blocks one by one.
+                blocks = min(remaining >> max_order, top.blocks)
+                pieces = top.take(blocks)
+                for start, count in pieces:
+                    fill(start - base, count, 0)
+                self._free_frames -= blocks << max_order
+            else:
+                if order > max_order:
+                    order = max_order
+                want_order = order
                 # Fragmentation fallback: drop to the largest order that
-                # actually has a block (identical to the reference scan).
+                # actually has a block (the reference scan).
                 while order >= 0 and not lists[order]:
                     order -= 1
-                if order < 0:
-                    order = want_order
-                live = lists[order]
-                if wrapper is None and live:
-                    # Same-order hit, inlined (the dominant case: a
-                    # large request peels off order-max blocks).  Pop as
-                    # many blocks of this order as the request and the
-                    # live set allow in one batch: between same-order
-                    # takes nothing is freed and no split-down runs, so
-                    # higher lists stay as they are and the reference
-                    # loop would pick this same order every time while
-                    # remaining >= 1 << order.
-                    heap = self._live_heap(order)
+                if order >= 0:
+                    bucket = lists[order]
+                    start = min(bucket)
+                    bucket.remove(start)
                     count = 1 << order
-                    batch = remaining >> order
-                    if batch > len(live):
-                        batch = len(live)
-                    # Blocks pop in ascending start order and are often
-                    # contiguous (a freshly coalesced region re-split),
-                    # so adjacent mask clears merge into one run.
-                    run_offset = -1
-                    run_length = 0
-                    for _ in range(batch):
-                        while heap[0] not in live:
-                            _heappop(heap)
-                        start = _heappop(heap)
-                        live.discard(start)
-                        offset = start - base
-                        if offset == run_offset + run_length:
-                            run_length += count
-                        else:
-                            if run_length:
-                                mask[run_offset:run_offset + run_length] = (
-                                    _ZERO_RUN[order]
-                                    if run_length == count and order <= MAX_ORDER
-                                    else bytes(run_length)
-                                )
-                            run_offset = offset
-                            run_length = count
-                        append(_unchecked(start, count))
-                    if run_length:
-                        mask[run_offset:run_offset + run_length] = (
-                            _ZERO_RUN[order]
-                            if run_length == count and order <= MAX_ORDER
-                            else bytes(run_length)
-                        )
-                    taken = batch * count
-                    self._free_frames -= taken
-                    remaining -= taken
                 else:
-                    block = take(order)
-                    append(block)
-                    remaining -= block.count
-        except OutOfMemoryError:
-            for block in granted:
-                self.free_span(block.start, block.count)
-            raise
+                    # Nothing free up to want_order: the reference splits
+                    # the lowest block of the next non-empty order, and
+                    # as every split leaves the lower orders empty again,
+                    # it carves the whole remainder from that one block.
+                    # The block's tail stays free as its aligned blocks.
+                    start, order = self._pop_lowest(want_order + 1)
+                    count = remaining
+                    self._insert_blocks(
+                        start - base + count, start - base + (1 << order)
+                    )
+                offset = start - base
+                mask[offset:offset + count] = bytes(count)
+                self._free_frames -= count
+                pieces = ((start, count),)
+            for start, count in pieces:
+                remaining -= count
+                if start == run_end:
+                    run_end += count
+                    continue
+                if run_end >= 0:
+                    granted.append(_unchecked(run_start, run_end - run_start))
+                run_start = start
+                run_end = start + count
+        granted.append(_unchecked(run_start, run_end - run_start))
         return granted
 
     # ------------------------------------------------------------------
@@ -425,167 +445,92 @@ class FastBuddy(BuddyAllocator):
     # ------------------------------------------------------------------
 
     def free_span(self, start: int, count: int) -> None:
-        if count <= 0:
-            raise AllocationError("free count must be positive")
-        offset = start - self.base
-        if offset < 0 or offset + count > self.total_frames:
-            raise AllocationError(
-                f"span [{start}, {start + count}) outside allocator"
-            )
-        if self._mask_bytes.find(1, offset, offset + count) != -1:
-            raise AllocationError(
-                f"double free within span [{start}, {start + count})"
-            )
-        self._insert_span(start, count)
+        self._free_spans((_unchecked(start, count),))
 
     def _free_spans(self, ranges) -> None:
-        """Sequential ``free_span`` over ``ranges`` with the per-range
-        validation and the dominant single-aligned-block insert inlined
-        (identical state transitions and identical error points; the
-        general shape falls through to :meth:`_insert_span`)."""
+        """Sequential ``free_span`` over ``ranges``: identical state
+        transitions and identical error points.  Each range takes one
+        mask write, its max-order-aligned middle joins the runs in one
+        insert, and only its edges coalesce block by block.  The result
+        is the reference state, which depends only on the set of free
+        frames (every free block is a maximal aligned free block)."""
         base = self.base
         total = self.total_frames
         mask = self._mask_bytes
-        lists = self._free_lists
-        heaps = self._heaps
-        max_order = self.max_order
-        # The free-frame count is flushed lazily: before every raise and
-        # before delegating to _insert_span (which counts its own span),
-        # so partial failures leave the same state as sequential
-        # free_span calls would.
-        freed = 0
+        shift = self.max_order
+        insert_blocks = self._insert_blocks
         for frame_range in ranges:
             start = frame_range.start
             count = frame_range.count
             if count <= 0:
-                self._free_frames += freed
                 raise AllocationError("free count must be positive")
             offset = start - base
-            if offset < 0 or offset + count > total:
-                self._free_frames += freed
+            end = offset + count
+            if offset < 0 or end > total:
                 raise AllocationError(
                     f"span [{start}, {start + count}) outside allocator"
                 )
-            if mask.find(1, offset, offset + count) != -1:
-                self._free_frames += freed
+            if mask.find(1, offset, end) != -1:
                 raise AllocationError(
                     f"double free within span [{start}, {start + count})"
                 )
-            order = count.bit_length() - 1
-            if (
-                count == 1 << order
-                and order <= max_order
-                and not offset & (count - 1)
-            ):
-                # One naturally aligned block: set the mask run and
-                # coalesce upward, exactly as _insert_span would.
-                mask[offset:offset + count] = (
-                    _ONE_RUN[order] if order <= MAX_ORDER else b"\x01" * count
-                )
-                freed += count
-                block = start
-                while order < max_order:
-                    bucket = lists[order]
-                    buddy = base + ((block - base) ^ (1 << order))
-                    if buddy not in bucket:
-                        break
-                    bucket.remove(buddy)
-                    if buddy < block:
-                        block = buddy
-                    order += 1
-                lists[order].add(block)
-                _heappush(heaps[order], block)
+            if count < _BULK_FILL_FRAMES:
+                mask[offset:end] = b"\x01" * count
             else:
-                self._free_frames += freed
-                freed = 0
-                self._insert_span(start, count)
-        self._free_frames += freed
+                self._mask.fill(offset, count, 1)
+            self._free_frames += count
+            low = -(-offset >> shift) << shift
+            high = end >> shift << shift
+            if low < high:
+                if offset < low:
+                    insert_blocks(offset, low)
+                self._top.insert(base + low, base + high)
+                if high < end:
+                    insert_blocks(high, end)
+            else:
+                insert_blocks(offset, end)
 
-    def _insert_span(self, start: int, count: int) -> None:
-        """Reference _insert_span with the coalescing loop inlined and
-        the mask write batched (numpy memset for large spans)."""
-        offset = start - self.base
-        if count < _BULK_FILL_FRAMES:
-            self._mask_bytes[offset:offset + count] = b"\x01" * count
-        else:
-            self._mask.fill(offset, count, 1)
-        self._free_frames += count
+    def _insert_blocks(self, offset: int, end: int) -> None:
+        """The reference block decomposition and buddy coalescing of
+        the span-relative range ``[offset, end)``; a block that
+        coalesces up to the max order joins the runs."""
         base = self.base
         lists = self._free_lists
-        heaps = self._heaps
         max_order = self.max_order
-        cursor = start
-        remaining = count
-        while remaining > 0:
-            cursor_offset = cursor - base
-            align_order = (
-                (cursor_offset & -cursor_offset).bit_length() - 1
-                if cursor_offset
-                else max_order
+        while offset < end:
+            order = min(
+                max_order,
+                (offset & -offset).bit_length() - 1 if offset else max_order,
+                (end - offset).bit_length() - 1,
             )
-            size_order = remaining.bit_length() - 1
-            order = min(max_order, align_order, size_order)
-            taken = 1 << order
-            block = cursor
+            block = offset
+            offset += 1 << order
             while order < max_order:
-                block_offset = block - base
-                buddy = base + (block_offset ^ (1 << order))
-                if buddy not in lists[order]:
+                bucket = lists[order]
+                buddy = base + (block ^ (1 << order))
+                if buddy not in bucket:
                     break
-                lists[order].discard(buddy)
-                if buddy < block:
-                    block = buddy
+                bucket.remove(buddy)
+                block &= ~(1 << order)
                 order += 1
-            lists[order].add(block)
-            _heappush(heaps[order], block)
-            cursor += taken
-            remaining -= taken
-
-    def _coalesce_insert(self, start: int, order: int) -> None:
-        lists = self._free_lists
-        while order < self.max_order:
-            offset = start - self.base
-            buddy = self.base + (offset ^ (1 << order))
-            if buddy not in lists[order]:
-                break
-            lists[order].discard(buddy)
-            start = min(start, buddy)
-            order += 1
-        lists[order].add(start)
-        _heappush(self._heaps[order], start)
+            if order < max_order:
+                lists[order].add(base + block)
+            else:
+                self._top.insert(base + block, base + block + (1 << max_order))
 
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """The reference checks against the byte mask instead of the
-        big-int mask."""
-        total_free = 0
-        seen: "list[tuple[int, int]]" = []
-        mask = self._mask
-        for order, starts in enumerate(self._free_lists):
-            size = 1 << order
-            for block_start in starts:
-                if (block_start - self.base) % size != 0:
-                    raise AllocationError(
-                        f"misaligned free block at {block_start} order {order}"
-                    )
-                offset = block_start - self.base
-                if mask.any_clear(offset, offset + size):
-                    raise AllocationError("free list and mask disagree")
-                seen.append((block_start, block_start + size))
-                total_free += size
-        seen.sort()
-        for (_, end_a), (start_b, _) in zip(seen, seen[1:]):
-            if end_a > start_b:
-                raise AllocationError("overlapping free blocks")
-        if total_free != self._free_frames:
-            raise AllocationError(
-                f"free accounting mismatch: {total_free} != {self._free_frames}"
-            )
-        if mask.popcount() != self._free_frames:
-            raise AllocationError("mask population does not match free count")
+        self._top.check()
+        super().check_invariants()
+
+    def _mask_full(self, offset: int, count: int) -> bool:
+        return self._mask_bytes.find(0, offset, offset + count) == -1
+
+    def _mask_popcount(self) -> int:
+        return self._mask.popcount()
 
 
 class FastNode(MemoryNode):
@@ -593,9 +538,9 @@ class FastNode(MemoryNode):
 
     ``zones_for`` rebuilds a kind->zone dict on every allocation; the
     zone list is fixed once ``build_node`` returns, so the eligibility
-    walk is memoised per page type.  ``free_ranges`` binds the owning
-    buddy's ``free_span`` once when the node has a single zone (every
-    FastMem node does) instead of re-resolving it per range.
+    walk is memoised per page type.  ``free_ranges`` hands each run of
+    consecutive same-zone ranges to the owning buddy's batched free
+    instead of resolving the zone and ``free_span`` per range.
     """
 
     def zones_for(self, page_type):
@@ -612,26 +557,28 @@ class FastNode(MemoryNode):
         return zones
 
     def free_ranges(self, ranges) -> None:
-        zones = self.zones
-        if len(zones) == 1:
-            buddy = zones[0].buddy
-            if buddy.__dict__.get("free_span") is None and isinstance(
-                buddy, FastBuddy
-            ):
-                # No per-instance sanitizer wrapper: take the batched
-                # free, which preserves the per-range sequential
-                # semantics (coalescing is order-dependent).
-                buddy._free_spans(ranges)
+        for zone in self.zones:
+            if "free_span" in zone.buddy.__dict__:
+                # A sanitizer free_span wrapper must see every range.
+                super().free_ranges(ranges)
                 return
-            # Bound via the instance so a sanitizer free_span wrapper
-            # still intercepts every free.
-            free = buddy.free_span
-            for frame_range in ranges:
-                free(frame_range.start, frame_range.count)
-            return
+        # Free chunk by chunk, in order: a failing range raises after
+        # every range before it is freed, as the per-range walk would.
+        chunk = []
+        buddy = None
+        low = high = 0
         for frame_range in ranges:
-            zone = self._zone_owning(frame_range.start)
-            zone.buddy.free_span(frame_range.start, frame_range.count)
+            start = frame_range.start
+            if not low <= start < high:
+                if chunk:
+                    buddy._free_spans(chunk)
+                    chunk = []
+                buddy = self._zone_owning(start).buddy
+                low = buddy.base
+                high = low + buddy.total_frames
+            chunk.append(frame_range)
+        if chunk:
+            buddy._free_spans(chunk)
 
 
 def fast_build_node(node_id, tier, device, base_frame=0):

@@ -12,6 +12,7 @@ guests' kernels (balloon-out: hide free pages, swap out cold extents).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.errors import SharingError
@@ -32,7 +33,11 @@ class BalloonBackend:
         self.machine = machine
         self.policy = policy
         self.domains: dict[int, Domain] = {}
-        self._kernels: dict[int, "GuestKernel"] = {}
+        #: Weak: each kernel's balloon front-end points back at this
+        #: back-end, so strong values would make reference cycles.
+        self._kernels: "weakref.WeakValueDictionary[int, GuestKernel]" = (
+            weakref.WeakValueDictionary()
+        )
         self.reclaimed_pages = 0
         self.granted_pages = 0
         #: Duck-typed :class:`repro.faults.FaultInjector`; ``None``

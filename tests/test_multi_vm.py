@@ -132,3 +132,24 @@ def test_hotness_config_reaches_every_domain_tracker():
     trackers = sim.hypervisor.trackers
     assert len(trackers) == 2
     assert all(tracker.config is custom for tracker in trackers.values())
+
+
+def test_finished_simulation_frees_kernels_without_gc():
+    """Engines, kernels and the hypervisor registry form no reference
+    cycle: dropping the simulation frees every kernel by refcount."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        sim = MultiVmSimulation(
+            devices(),
+            [vm("a", workload("a")), vm("b", workload("b"))],
+            sharing_policy=WeightedDrf(),
+        )
+        sim.run(3)
+        kernels = [weakref.ref(engine.kernel) for engine in sim.engines.values()]
+        del sim
+        assert [ref() for ref in kernels] == [None, None]
+    finally:
+        gc.enable()

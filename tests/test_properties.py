@@ -2,9 +2,11 @@
 invariants: allocators never lose or duplicate frames, cost models stay
 monotone, fairness maths stays in range."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import OutOfMemoryError
 from repro.guestos.buddy import BuddyAllocator
 from repro.guestos.lru import SplitLru
 from repro.hw.cache import CacheConfig, LastLevelCache, RegionAccess
@@ -12,6 +14,7 @@ from repro.hw.throttle import ThrottleConfig, throttled_device
 from repro.core.coordinated import next_interval_ms
 from repro.mem.extent import PageExtent, PageType
 from repro.mem.frames import FramePool
+from repro.sim.fast import FastBuddy
 from repro.units import MIB
 from repro.vmm.migration import MigrationCostModel
 
@@ -20,16 +23,22 @@ from repro.vmm.migration import MigrationCostModel
 # Buddy allocator: conservation + invariants under arbitrary programs
 # ----------------------------------------------------------------------
 
+#: The reference allocator and its array-backed drop-in; drawn by
+#: Hypothesis (``st.sampled_from``) so the test ids stay stable.
+ALLOCATORS = st.sampled_from((BuddyAllocator, FastBuddy))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
+    allocator=ALLOCATORS,
     span=st.integers(min_value=1, max_value=2048),
     program=st.lists(
         st.tuples(st.booleans(), st.integers(min_value=1, max_value=256)),
         max_size=40,
     ),
 )
-def test_buddy_conserves_frames(span, program):
-    buddy = BuddyAllocator(0, span)
+def test_buddy_conserves_frames(allocator, span, program):
+    buddy = allocator(0, span)
     live: list = []
     for is_alloc, count in program:
         if is_alloc:
@@ -48,11 +57,12 @@ def test_buddy_conserves_frames(span, program):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    allocator=ALLOCATORS,
     counts=st.lists(st.integers(min_value=1, max_value=64), min_size=1,
                     max_size=20),
 )
-def test_buddy_allocations_never_overlap(counts):
-    buddy = BuddyAllocator(0, 4096)
+def test_buddy_allocations_never_overlap(allocator, counts):
+    buddy = allocator(0, 4096)
     seen: set[int] = set()
     for count in counts:
         if count > buddy.free_frames:
@@ -61,6 +71,79 @@ def test_buddy_allocations_never_overlap(counts):
             frames = set(range(block.start, block.end))
             assert not frames & seen
             seen |= frames
+
+
+def _assert_same_state(reference, fast):
+    assert fast.free_frames == reference.free_frames
+    assert fast.largest_free_order() == reference.largest_free_order()
+    frames = range(reference.base, reference.base + reference.total_frames)
+    assert [fast.is_free(f) for f in frames] == [
+        reference.is_free(f) for f in frames
+    ]
+    reference.check_invariants()
+    fast.check_invariants()
+
+
+# Spans stay small: the big-int reference mask makes every operation
+# O(span bits), and the per-frame comparison after each step is O(span).
+@settings(max_examples=60, deadline=None)
+@given(
+    max_order=st.sampled_from((0, 3, 10)),
+    base=st.integers(min_value=0, max_value=5000),
+    span=st.integers(min_value=1, max_value=3000),
+    program=st.lists(
+        st.tuples(
+            st.sampled_from(("alloc", "free", "fragment", "oom")),
+            st.integers(min_value=1, max_value=3000),
+            st.integers(min_value=0, max_value=1 << 16),
+        ),
+        max_size=30,
+    ),
+)
+def test_fast_buddy_matches_reference(max_order, base, span, program):
+    """FastBuddy grants the same runs and reaches the same state as the
+    reference BuddyAllocator after every allocate, whole free, fragment
+    free and refused (out-of-memory) request."""
+    reference = BuddyAllocator(base, span, max_order)
+    fast = FastBuddy(base, span, max_order)
+    live: list = []
+    for op, size, pick in program:
+        free = reference.free_frames
+        if op == "alloc" and free:
+            granted = reference.allocate_pages(1 + size % free)
+            assert fast.allocate_pages(1 + size % free) == granted
+            for left, right in zip(granted, granted[1:]):
+                assert left.end != right.start  # maximal runs
+            live.extend(granted)
+        elif op == "oom":
+            for buddy in (reference, fast):
+                with pytest.raises(OutOfMemoryError):
+                    buddy.allocate_pages(free + size)
+        elif op == "free" and live:
+            # Up to three ranges: sequential frees on the reference, one
+            # batched free on the fast allocator.
+            batch = [live.pop(pick % len(live)) for _ in range(min(3, len(live)))]
+            for frame_range in batch:
+                reference.free_span(frame_range.start, frame_range.count)
+            fast._free_spans(batch)
+        elif op == "fragment" and live:
+            # Free a prefix or suffix of a range and keep the rest, as
+            # per-CPU lists and extent splits do.
+            victim = live.pop(pick % len(live))
+            if victim.count > 1:
+                head, tail = victim.split(1 + size % (victim.count - 1))
+                freed, kept = (head, tail) if pick & 1 else (tail, head)
+                live.append(kept)
+            else:
+                freed = victim
+            reference.free_span(freed.start, freed.count)
+            fast.free_span(freed.start, freed.count)
+        _assert_same_state(reference, fast)
+    for frame_range in live:
+        reference.free_range(frame_range)
+        fast.free_range(frame_range)
+    _assert_same_state(reference, fast)
+    assert fast.free_frames == span
 
 
 # ----------------------------------------------------------------------

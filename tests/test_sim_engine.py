@@ -235,3 +235,31 @@ def test_run_experiment_accepts_names_and_instances():
 def test_run_experiment_unlimited_fast_for_fastmem_only():
     result = run_experiment("nginx", "fastmem-only", epochs=3)
     assert result.fastmem_miss_ratio() == 0.0
+
+
+@pytest.mark.parametrize("policy", ["hetero-lru", "hetero-coordinated"])
+def test_finished_run_frees_kernel_without_gc(monkeypatch, policy):
+    """A finished run holds no reference cycle through its kernel, so
+    reference counting frees it without the cyclic collector."""
+    import gc
+    import weakref
+
+    from repro.guestos.kernel import GuestKernel
+
+    kernels = []
+    boot = GuestKernel.__init__
+
+    def recording_init(self, *args, **kwargs):
+        boot(self, *args, **kwargs)
+        kernels.append(weakref.ref(self))
+
+    monkeypatch.setattr(GuestKernel, "__init__", recording_init)
+    gc.disable()
+    try:
+        result = run_experiment("redis", policy, epochs=3, slow_gib=0.25)
+        assert result.stats.epochs == 3
+        del result
+        assert len(kernels) == 1
+        assert kernels[0]() is None
+    finally:
+        gc.enable()

@@ -119,3 +119,69 @@ def test_base_frame_offsets_disjoint():
         f for r in slow_ranges for f in range(r.start, r.end)
     }
     assert not fast_frames & slow_frames
+
+
+def _assert_same_free_state(reference, fast):
+    for ref_zone, fast_zone in zip(reference.zones, fast.zones):
+        ref_buddy, fast_buddy = ref_zone.buddy, fast_zone.buddy
+        assert fast_buddy.free_frames == ref_buddy.free_frames
+        assert fast_buddy.largest_free_order() == ref_buddy.largest_free_order()
+        frames = range(ref_buddy.base, ref_buddy.base + ref_buddy.total_frames)
+        assert [fast_buddy.is_free(f) for f in frames] == [
+            ref_buddy.is_free(f) for f in frames
+        ]
+        ref_buddy.check_invariants()
+        fast_buddy.check_invariants()
+
+
+def test_fast_two_zone_free_ranges_matches_sequential_frees():
+    """The array-backed SlowMem node frees DMA and NORMAL ranges in
+    same-zone batches, yet raises at the same range and leaves the same
+    free state as the reference node's one-range-at-a-time frees."""
+    from repro.errors import AllocationError
+    from repro.mem.frames import FrameRange
+    from repro.sim.fast import fast_build_node
+
+    device = NVM_PCM.with_capacity(64 * MIB)
+    reference = build_node(1, NodeTier.SLOW, device, base_frame=300)
+    fast = fast_build_node(1, NodeTier.SLOW, device, base_frame=300)
+    assert [zone.kind for zone in fast.zones] == [ZoneKind.DMA, ZoneKind.NORMAL]
+    grants = []
+    for node in (reference, fast):
+        dma, normal = (zone.buddy for zone in node.zones)
+        grants.append([
+            dma.allocate_pages(700),
+            normal.allocate_pages(5000),
+            dma.allocate_pages(200),
+            normal.allocate_pages(3000),
+        ])
+    assert grants[0] == grants[1]
+    (dma_a,), (normal_a,), dma_b, normal_b = grants[0]
+    dma_head, dma_tail = dma_a.split(300)
+    normal_head, normal_tail = normal_a.split(1234)
+    rest = [dma_tail, *normal_b]
+    ranges = [
+        dma_head,
+        normal_head,
+        *dma_b,
+        normal_tail,
+        FrameRange(dma_head.start + 5, 10),  # double free, planted mid-list
+        *rest,
+    ]
+    errors = []
+    for node in (reference, fast):
+        with pytest.raises(AllocationError) as caught:
+            node.free_ranges(ranges)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert "double free" in errors[0]
+    _assert_same_free_state(reference, fast)
+    assert not fast.zones[0].buddy.is_free(dma_tail.start)
+
+    # A range owned by no zone (below the node's base) fails the same
+    # way, after the ranges before it are freed.
+    for node in (reference, fast):
+        with pytest.raises(OutOfMemoryError):
+            node.free_ranges([*rest, FrameRange(10, 5)])
+    _assert_same_free_state(reference, fast)
+    assert fast.free_pages == fast.total_pages
