@@ -13,7 +13,7 @@ heterocontract turns that drift into a build break:
   registry literals, and canonical-JSON serializers
   (:mod:`~repro.devtools.contract.extract`) plus a generic
   *field-parity* primitive (:mod:`~repro.devtools.contract.parity`);
-* six rules (:mod:`~repro.devtools.contract.rules`) instantiating it,
+* five rules (:mod:`~repro.devtools.contract.rules`) instantiating it,
   run as ``repro lint --contracts`` (``contract-`` rule ids, fifth
   SARIF tool run, same suppressions/baseline as every other layer).
 

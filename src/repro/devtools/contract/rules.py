@@ -1,4 +1,4 @@
-"""The six heterocontract rules.
+"""The five heterocontract rules.
 
 Each rule instantiates the :mod:`~repro.devtools.contract.parity`
 primitive (or the effect summaries) over a pair of hand-maintained
@@ -20,10 +20,6 @@ declarations that PR history shows drift apart:
   obs-owned classes (plus the declared ``OBS_WRITE_ALLOWLIST``).
 * ``contract-registry`` — policy/workload registries are exhaustive
   against the classes and factories actually defined.
-* ``contract-fast-mirror`` — the ``DEVICE_DEMAND_FIELDS`` accumulator
-  columns in ``sim/fast.py`` vs. the ``DeviceDemand`` dataclass in
-  ``hw/timing.py``, both directions; a DeviceDemand field without a
-  column is silently dropped by the array-backed fast path.
 
 Findings reuse heterolint's :class:`Finding` shape, so suppression
 comments, the committed baseline, and SARIF output all apply; the
@@ -88,12 +84,6 @@ def contract_rule_metadata() -> "dict[str, str]":
             "registry is invisible to sweeps, figures, and the "
             "equivalence harness — dead code that looks implemented"
         ),
-        "contract-fast-mirror": (
-            "the fast path accumulates DeviceDemand through the flat "
-            "DEVICE_DEMAND_FIELDS columns; a dataclass field without a "
-            "column is silently dropped from every fast-path result "
-            "while the differential oracle still passes on old fields"
-        ),
     }
 
 
@@ -117,7 +107,7 @@ def _pattern_match(ident: str, patterns: "tuple[str, ...]") -> bool:
 
 
 class ContractRules:
-    """Run the six contract rules over one project index.
+    """Run the five contract rules over one project index.
 
     ``analysis`` (the heteroeffect fixpoint) powers the obs-purity rule
     and the fault-handler reachability check; pass ``None`` to skip
@@ -150,8 +140,6 @@ class ContractRules:
         for finding in self._obs_pure():
             yield self._pair(finding)
         for finding in self._registry():
-            yield self._pair(finding)
-        for finding in self._fast_mirror():
             yield self._pair(finding)
 
     def _pair(self, finding: Finding) -> "tuple[_Anchor, Finding]":
@@ -981,33 +969,6 @@ class ContractRules:
                 ),
                 function=cinfo.qualname,
             )
-
-    # ------------------------------------------------------------------
-    # contract-fast-mirror
-    # ------------------------------------------------------------------
-
-    _FAST_MODULE = "sim.fast"
-    _TIMING_MODULE = "hw.timing"
-
-    def _fast_mirror(self) -> "Iterator[Finding]":
-        """The fast path's flat accumulator columns must mirror the
-        ``DeviceDemand`` dataclass exactly, both directions: a dataclass
-        field without a column is dropped from every fast-path result
-        (the oracle only compares fields that exist when it was
-        written), and a column naming no field is a stale accumulator
-        nothing ever reads."""
-        rule = "contract-fast-mirror"
-        columns = self._tuple_fieldset(
-            self._FAST_MODULE, "DEVICE_DEMAND_FIELDS", "DEVICE_DEMAND_FIELDS"
-        )
-        demand_cls = self._class(self._TIMING_MODULE, "DeviceDemand")
-        if columns is None or demand_cls is None:
-            return
-        demand_fields = self._class_fieldset(demand_cls, "DeviceDemand")
-        yield from field_parity(
-            rule, demand_fields, columns,
-            function=f"{self._FAST_MODULE}.DEVICE_DEMAND_FIELDS",
-        )
 
     @staticmethod
     def _is_abstract(cinfo: ClassInfo) -> bool:

@@ -46,7 +46,12 @@ class MemoryNode:
     node_id: int
     tier: NodeTier
     device: MemoryDevice
+    #: Fixed once :func:`build_node` returns (ballooning hides frames,
+    #: it never adds or removes zones), which lets ``zones_for`` memoise.
     zones: list[Zone] = field(default_factory=list)
+    _zones_for: "dict[PageType, list[Zone]]" = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def is_fastmem(self) -> bool:
@@ -70,9 +75,16 @@ class MemoryNode:
 
     def zones_for(self, page_type: PageType) -> list[Zone]:
         """Zones eligible to serve ``page_type``, in preference order."""
-        preference = zone_preference(page_type)
-        by_kind = {zone.kind: zone for zone in self.zones}
-        return [by_kind[kind] for kind in preference if kind in by_kind]
+        zones = self._zones_for.get(page_type)
+        if zones is None:
+            by_kind = {zone.kind: zone for zone in self.zones}
+            zones = [
+                by_kind[kind]
+                for kind in zone_preference(page_type)
+                if kind in by_kind
+            ]
+            self._zones_for[page_type] = zones
+        return zones
 
     def allocate_pages(self, pages: int, page_type: PageType) -> list[FrameRange]:
         """Allocate from the first eligible zone with room; no splitting
@@ -111,10 +123,26 @@ class MemoryNode:
         return sum(zone.free_pages for zone in self.zones_for(page_type))
 
     def free_ranges(self, ranges: list[FrameRange]) -> None:
-        """Return frame ranges to whichever zone owns them."""
+        """Return frame ranges to whichever zone owns them.
+
+        Each run of consecutive ranges owned by one zone goes to that
+        zone's buddy in one batched free, in order: a failing range
+        raises after every range before it is freed."""
+        chunk: list[FrameRange] = []
+        buddy = None
+        low = high = 0
         for frame_range in ranges:
-            zone = self._zone_owning(frame_range.start)
-            zone.buddy.free_range(frame_range)
+            start = frame_range.start
+            if not low <= start < high:
+                if chunk:
+                    buddy.free_ranges(chunk)
+                    chunk = []
+                buddy = self._zone_owning(start).buddy
+                low = buddy.base
+                high = low + buddy.total_frames
+            chunk.append(frame_range)
+        if chunk:
+            buddy.free_ranges(chunk)
 
     def _zone_owning(self, frame: int) -> Zone:
         for zone in self.zones:
@@ -129,34 +157,22 @@ def build_node(
     tier: NodeTier,
     device: MemoryDevice,
     base_frame: int = 0,
-    buddy_factory=None,
-    node_cls: "type[MemoryNode] | None" = None,
 ) -> MemoryNode:
-    """Construct a node with the tier-appropriate zone layout.
-
-    ``buddy_factory``/``node_cls`` substitute the array-backed
-    allocator and node from ``repro.sim.fast``; the default layout and
-    zone arithmetic are identical either way.
-    """
+    """Construct a node with the tier-appropriate zone layout."""
     total_pages = pages_of_bytes(device.capacity_bytes)
     if total_pages <= 0:
         raise ConfigurationError(f"node {node_id}: device has no capacity")
-    make_node = node_cls if node_cls is not None else MemoryNode
-    node = make_node(node_id=node_id, tier=tier, device=device)
-
-    def _zone(kind: ZoneKind, base: int, frames: int) -> Zone:
-        return make_zone(kind, base, frames, buddy_factory=buddy_factory)
-
+    node = MemoryNode(node_id=node_id, tier=tier, device=device)
     if tier is NodeTier.FAST:
-        node.zones.append(_zone(ZoneKind.UNIFIED, base_frame, total_pages))
+        node.zones.append(make_zone(ZoneKind.UNIFIED, base_frame, total_pages))
         return node
     dma_pages = min(DMA_ZONE_BYTES // PAGE_SIZE, max(1, total_pages // 16))
     normal_pages = total_pages - dma_pages
     if normal_pages <= 0:
-        node.zones.append(_zone(ZoneKind.NORMAL, base_frame, total_pages))
+        node.zones.append(make_zone(ZoneKind.NORMAL, base_frame, total_pages))
         return node
-    node.zones.append(_zone(ZoneKind.DMA, base_frame, dma_pages))
+    node.zones.append(make_zone(ZoneKind.DMA, base_frame, dma_pages))
     node.zones.append(
-        _zone(ZoneKind.NORMAL, base_frame + dma_pages, normal_pages)
+        make_zone(ZoneKind.NORMAL, base_frame + dma_pages, normal_pages)
     )
     return node

@@ -4,163 +4,145 @@ import pytest
 
 from repro.errors import AllocationError, OutOfMemoryError
 from repro.guestos.buddy import BuddyAllocator
-from repro.sim.fast import FastBuddy
-
-#: Every test runs against the reference allocator and its array-backed
-#: drop-in.  A loop rather than ``pytest.mark.parametrize`` keeps the
-#: test ids stable.
-ALLOCATORS = (BuddyAllocator, FastBuddy)
 
 
 def test_block_allocation_sizes():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 1024)
-        block = buddy.allocate_block(4)
-        assert block.count == 16
-        assert block.start % 16 == 0
-        assert buddy.free_frames == 1024 - 16
+    buddy = BuddyAllocator(0, 1024)
+    block = buddy.allocate_block(4)
+    assert block.count == 16
+    assert block.start % 16 == 0
+    assert buddy.free_frames == 1024 - 16
 
 
 def test_block_alignment_respects_base():
-    for allocator in ALLOCATORS:
-        buddy = allocator(1000, 1024)
-        block = buddy.allocate_block(5)
-        assert (block.start - 1000) % 32 == 0
+    buddy = BuddyAllocator(1000, 1024)
+    block = buddy.allocate_block(5)
+    assert (block.start - 1000) % 32 == 0
 
 
 def test_split_and_coalesce_roundtrip():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 256)
-        blocks = [buddy.allocate_block(0) for _ in range(256)]
-        assert buddy.free_frames == 0
-        for block in blocks:
-            buddy.free_span(block.start, block.count)
-        assert buddy.free_frames == 256
-        buddy.check_invariants()
-        # Everything coalesced back: a max-order block is available again.
-        assert buddy.largest_free_order() == 8
+    buddy = BuddyAllocator(0, 256)
+    blocks = [buddy.allocate_block(0) for _ in range(256)]
+    assert buddy.free_frames == 0
+    for block in blocks:
+        buddy.free_span(block.start, block.count)
+    assert buddy.free_frames == 256
+    buddy.check_invariants()
+    # Everything coalesced back: a max-order block is available again.
+    assert buddy.largest_free_order() == 8
 
 
 def test_allocate_pages_exact_total():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 1024)
-        ranges = buddy.allocate_pages(300)
-        assert sum(r.count for r in ranges) == 300
-        assert buddy.free_frames == 724
-        buddy.check_invariants()
+    buddy = BuddyAllocator(0, 1024)
+    ranges = buddy.allocate_pages(300)
+    assert sum(r.count for r in ranges) == 300
+    assert buddy.free_frames == 724
+    buddy.check_invariants()
 
 
 def test_allocate_pages_rollback_on_failure():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 128)
-        buddy.allocate_pages(100)
-        free_before = buddy.free_frames
-        with pytest.raises(OutOfMemoryError):
-            buddy.allocate_pages(50)
-        assert buddy.free_frames == free_before
-        buddy.check_invariants()
+    """A request beyond the free frames is refused up front and leaves
+    the allocator unchanged (one within them always succeeds)."""
+    buddy = BuddyAllocator(0, 128)
+    buddy.allocate_pages(100)
+    free_before = buddy.free_frames
+    with pytest.raises(OutOfMemoryError):
+        buddy.allocate_pages(50)
+    assert buddy.free_frames == free_before
+    buddy.check_invariants()
 
 
 def test_free_span_accepts_fragments():
     """Fragments of an allocated block (per-CPU splits) free cleanly."""
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        block = buddy.allocate_block(4)  # 16 frames
-        buddy.free_span(block.start, 5)
-        buddy.free_span(block.start + 5, 11)
-        assert buddy.free_frames == 64
-        buddy.check_invariants()
+    buddy = BuddyAllocator(0, 64)
+    block = buddy.allocate_block(4)  # 16 frames
+    buddy.free_span(block.start, 5)
+    buddy.free_span(block.start + 5, 11)
+    assert buddy.free_frames == 64
+    buddy.check_invariants()
 
 
 def test_double_free_detected_exactly():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        block = buddy.allocate_block(3)
-        buddy.free_span(block.start, block.count)
-        with pytest.raises(AllocationError):
-            buddy.free_span(block.start, 1)
+    buddy = BuddyAllocator(0, 64)
+    block = buddy.allocate_block(3)
+    buddy.free_span(block.start, block.count)
+    with pytest.raises(AllocationError):
+        buddy.free_span(block.start, 1)
 
 
 def test_partial_overlap_free_detected():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        block = buddy.allocate_block(3)  # 8 frames
-        buddy.free_span(block.start, 4)
-        with pytest.raises(AllocationError):
-            buddy.free_span(block.start + 2, 4)  # overlaps the freed half
+    buddy = BuddyAllocator(0, 64)
+    block = buddy.allocate_block(3)  # 8 frames
+    buddy.free_span(block.start, 4)
+    with pytest.raises(AllocationError):
+        buddy.free_span(block.start + 2, 4)  # overlaps the freed half
 
 
 def test_free_outside_span_rejected():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        with pytest.raises(AllocationError):
-            buddy.free_span(100, 4)
+    buddy = BuddyAllocator(0, 64)
+    with pytest.raises(AllocationError):
+        buddy.free_span(100, 4)
 
 
 def test_non_power_of_two_span():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 1000)
-        assert buddy.free_frames == 1000
-        ranges = buddy.allocate_pages(1000)
-        assert sum(r.count for r in ranges) == 1000
-        assert buddy.free_frames == 0
-        for r in ranges:
-            buddy.free_span(r.start, r.count)
-        buddy.check_invariants()
+    buddy = BuddyAllocator(0, 1000)
+    assert buddy.free_frames == 1000
+    ranges = buddy.allocate_pages(1000)
+    assert sum(r.count for r in ranges) == 1000
+    assert buddy.free_frames == 0
+    for r in ranges:
+        buddy.free_span(r.start, r.count)
+    buddy.check_invariants()
 
 
 def test_fragmentation_fallback_to_smaller_orders():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        # Allocate all order-0 blocks, free every other one: max fragmentation.
-        blocks = [buddy.allocate_block(0) for _ in range(64)]
-        for block in blocks[::2]:
-            buddy.free_span(block.start, 1)
-        assert buddy.largest_free_order() == 0
-        ranges = buddy.allocate_pages(16)  # must assemble from singletons
-        assert sum(r.count for r in ranges) == 16
-        buddy.check_invariants()
+    buddy = BuddyAllocator(0, 64)
+    # Allocate all order-0 blocks, free every other one: max fragmentation.
+    blocks = [buddy.allocate_block(0) for _ in range(64)]
+    for block in blocks[::2]:
+        buddy.free_span(block.start, 1)
+    assert buddy.largest_free_order() == 0
+    ranges = buddy.allocate_pages(16)  # must assemble from singletons
+    assert sum(r.count for r in ranges) == 16
+    buddy.check_invariants()
 
 
 def test_is_free_queries():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 16)
-        block = buddy.allocate_block(2)
-        assert not buddy.is_free(block.start)
-        buddy.free_span(block.start, block.count)
-        assert buddy.is_free(block.start)
-        with pytest.raises(AllocationError):
-            buddy.is_free(999)
+    buddy = BuddyAllocator(0, 16)
+    block = buddy.allocate_block(2)
+    assert not buddy.is_free(block.start)
+    buddy.free_span(block.start, block.count)
+    assert buddy.is_free(block.start)
+    with pytest.raises(AllocationError):
+        buddy.is_free(999)
 
 
 def test_oversized_request_rejected():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 64)
-        with pytest.raises(OutOfMemoryError):
-            buddy.allocate_pages(65)
-        with pytest.raises(AllocationError):
-            buddy.allocate_pages(0)
-        with pytest.raises(AllocationError):
-            buddy.allocate_block(99)
+    buddy = BuddyAllocator(0, 64)
+    with pytest.raises(OutOfMemoryError):
+        buddy.allocate_pages(65)
+    with pytest.raises(AllocationError):
+        buddy.allocate_pages(0)
+    with pytest.raises(AllocationError):
+        buddy.allocate_block(99)
 
 
 def test_allocate_pages_returns_maximal_runs():
-    for allocator in ALLOCATORS:
-        buddy = allocator(0, 4096)
-        # Four order-10 blocks plus a split-down tail: one contiguous run.
-        assert [(r.start, r.count) for r in buddy.allocate_pages(3000)] == [
-            (0, 3000)
-        ]
-        buddy.free_span(1024, 1024)
-        buddy.free_span(2500, 100)
-        # The freed order-10 block, then the fragmentation fallback walks
-        # the holes' blocks lowest-first per order: the two order-5
-        # blocks 2528 and 2560 join into one run, while 2504 (granted
-        # after 2512, which it precedes) stays separate.  The last four
-        # frames are split off the free order-10 block at 3072.
-        ranges = buddy.allocate_pages(1200)
-        assert [(r.start, r.count) for r in ranges] == [
-            (1024, 1024), (3008, 64), (2528, 64), (2512, 16), (2504, 8),
-            (2592, 8), (3000, 8), (2500, 4), (3072, 4),
-        ]
-        buddy.check_invariants()
+    buddy = BuddyAllocator(0, 4096)
+    # Four order-10 blocks plus a split-down tail: one contiguous run.
+    assert [(r.start, r.count) for r in buddy.allocate_pages(3000)] == [
+        (0, 3000)
+    ]
+    buddy.free_span(1024, 1024)
+    buddy.free_span(2500, 100)
+    # The freed order-10 block, then the fragmentation fallback walks
+    # the holes' blocks lowest-first per order: the two order-5
+    # blocks 2528 and 2560 join into one run, while 2504 (granted
+    # after 2512, which it precedes) stays separate.  The last four
+    # frames are split off the free order-10 block at 3072.
+    ranges = buddy.allocate_pages(1200)
+    assert [(r.start, r.count) for r in ranges] == [
+        (1024, 1024), (3008, 64), (2528, 64), (2512, 16), (2504, 8),
+        (2592, 8), (3000, 8), (2500, 4), (3072, 4),
+    ]
+    buddy.check_invariants()

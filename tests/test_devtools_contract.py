@@ -39,7 +39,6 @@ CONTRACT_RULE_IDS = {
     "contract-fault-kind",
     "contract-obs-pure",
     "contract-registry",
-    "contract-fast-mirror",
 }
 
 
@@ -78,7 +77,7 @@ def _matching(findings, rule_id, needle):
     ]
 
 
-def test_contract_rule_metadata_names_the_six_rules():
+def test_contract_rule_metadata_names_every_rule():
     metadata = contract_rule_metadata()
     assert set(metadata) == CONTRACT_RULE_IDS
     for rule_id, rationale in metadata.items():
@@ -154,41 +153,6 @@ def test_unregistered_factory_fires_registry(tmp_path):
         [("workloads/registry.py", '    "nginx": make_nginx,\n', "")],
     )
     hits = _matching(findings, "contract-registry", "make_nginx")
-    assert hits, [f.format() for f in findings]
-
-
-def test_new_demand_field_without_column_fires_fast_mirror(tmp_path):
-    findings = _seeded_findings(
-        tmp_path,
-        [
-            (
-                "hw/timing.py",
-                "    traffic_bytes: float = 0.0\n",
-                "    traffic_bytes: float = 0.0\n"
-                "    stall_ns: float = 0.0\n",
-            )
-        ],
-    )
-    hits = _matching(findings, "contract-fast-mirror", "'stall_ns'")
-    assert hits, [f.format() for f in findings]
-    # Anchored on the dataclass that grew the field.
-    assert any("timing.py" in f.path for f in hits)
-
-
-def test_stale_accumulator_column_fires_fast_mirror(tmp_path):
-    findings = _seeded_findings(
-        tmp_path,
-        [
-            (
-                "sim/fast.py",
-                'DEVICE_DEMAND_FIELDS = ("read_misses", "write_misses", '
-                '"traffic_bytes")\n',
-                'DEVICE_DEMAND_FIELDS = ("read_misses", "write_misses", '
-                '"traffic_bytes", "stale_column")\n',
-            )
-        ],
-    )
-    hits = _matching(findings, "contract-fast-mirror", "'stale_column'")
     assert hits, [f.format() for f in findings]
 
 

@@ -95,8 +95,7 @@ def _load_benchmark(filename):
 
 def test_multi_vm_tables_match_committed_results(monkeypatch):
     """Full-length Figure 13 and Ablation G render byte-identical to
-    ``benchmarks/_results`` (affordable on the fast path)."""
-    monkeypatch.setenv("REPRO_FAST", "1")
+    ``benchmarks/_results``."""
     # The ablation module's ``from conftest import once`` must resolve to
     # the benchmarks conftest, not this suite's.
     monkeypatch.setitem(

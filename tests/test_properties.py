@@ -14,31 +14,26 @@ from repro.hw.throttle import ThrottleConfig, throttled_device
 from repro.core.coordinated import next_interval_ms
 from repro.mem.extent import PageExtent, PageType
 from repro.mem.frames import FramePool
-from repro.sim.fast import FastBuddy
 from repro.units import MIB
 from repro.vmm.migration import MigrationCostModel
+
+from buddy_model import BuddyModel
 
 
 # ----------------------------------------------------------------------
 # Buddy allocator: conservation + invariants under arbitrary programs
 # ----------------------------------------------------------------------
 
-#: The reference allocator and its array-backed drop-in; drawn by
-#: Hypothesis (``st.sampled_from``) so the test ids stay stable.
-ALLOCATORS = st.sampled_from((BuddyAllocator, FastBuddy))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
-    allocator=ALLOCATORS,
     span=st.integers(min_value=1, max_value=2048),
     program=st.lists(
         st.tuples(st.booleans(), st.integers(min_value=1, max_value=256)),
         max_size=40,
     ),
 )
-def test_buddy_conserves_frames(allocator, span, program):
-    buddy = allocator(0, span)
+def test_buddy_conserves_frames(span, program):
+    buddy = BuddyAllocator(0, span)
     live: list = []
     for is_alloc, count in program:
         if is_alloc:
@@ -57,12 +52,11 @@ def test_buddy_conserves_frames(allocator, span, program):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    allocator=ALLOCATORS,
     counts=st.lists(st.integers(min_value=1, max_value=64), min_size=1,
                     max_size=20),
 )
-def test_buddy_allocations_never_overlap(allocator, counts):
-    buddy = allocator(0, 4096)
+def test_buddy_allocations_never_overlap(counts):
+    buddy = BuddyAllocator(0, 4096)
     seen: set[int] = set()
     for count in counts:
         if count > buddy.free_frames:
@@ -73,19 +67,15 @@ def test_buddy_allocations_never_overlap(allocator, counts):
             seen |= frames
 
 
-def _assert_same_state(reference, fast):
-    assert fast.free_frames == reference.free_frames
-    assert fast.largest_free_order() == reference.largest_free_order()
-    frames = range(reference.base, reference.base + reference.total_frames)
-    assert [fast.is_free(f) for f in frames] == [
-        reference.is_free(f) for f in frames
-    ]
-    reference.check_invariants()
-    fast.check_invariants()
+def _assert_same_state(model, buddy):
+    assert buddy.free_frames == model.free_frames
+    assert buddy.largest_free_order() == model.largest_free_order()
+    frames = range(model.base, model.base + model.total_frames)
+    assert [buddy.is_free(f) for f in frames] == [model.is_free(f) for f in frames]
+    buddy.check_invariants()
 
 
-# Spans stay small: the big-int reference mask makes every operation
-# O(span bits), and the per-frame comparison after each step is O(span).
+# Spans stay small: the per-frame comparison after each step is O(span).
 @settings(max_examples=60, deadline=None)
 @given(
     max_order=st.sampled_from((0, 3, 10)),
@@ -100,32 +90,32 @@ def _assert_same_state(reference, fast):
         max_size=30,
     ),
 )
-def test_fast_buddy_matches_reference(max_order, base, span, program):
-    """FastBuddy grants the same runs and reaches the same state as the
-    reference BuddyAllocator after every allocate, whole free, fragment
+def test_buddy_matches_block_model(max_order, base, span, program):
+    """BuddyAllocator grants the same frames in the same order, and
+    reaches the same free state, as the block-at-a-time model
+    (tests/buddy_model.py) after every allocate, batched free, fragment
     free and refused (out-of-memory) request."""
-    reference = BuddyAllocator(base, span, max_order)
-    fast = FastBuddy(base, span, max_order)
+    model = BuddyModel(base, span, max_order)
+    buddy = BuddyAllocator(base, span, max_order)
     live: list = []
     for op, size, pick in program:
-        free = reference.free_frames
+        free = model.free_frames
         if op == "alloc" and free:
-            granted = reference.allocate_pages(1 + size % free)
-            assert fast.allocate_pages(1 + size % free) == granted
+            granted = model.allocate_pages(1 + size % free)
+            assert buddy.allocate_pages(1 + size % free) == granted
             for left, right in zip(granted, granted[1:]):
                 assert left.end != right.start  # maximal runs
             live.extend(granted)
         elif op == "oom":
-            for buddy in (reference, fast):
-                with pytest.raises(OutOfMemoryError):
-                    buddy.allocate_pages(free + size)
+            with pytest.raises(OutOfMemoryError):
+                buddy.allocate_pages(free + size)
         elif op == "free" and live:
-            # Up to three ranges: sequential frees on the reference, one
-            # batched free on the fast allocator.
+            # Up to three ranges: sequential frees on the model, one
+            # batched free on the allocator.
             batch = [live.pop(pick % len(live)) for _ in range(min(3, len(live)))]
             for frame_range in batch:
-                reference.free_span(frame_range.start, frame_range.count)
-            fast._free_spans(batch)
+                model.free_span(frame_range.start, frame_range.count)
+            buddy.free_ranges(batch)
         elif op == "fragment" and live:
             # Free a prefix or suffix of a range and keep the rest, as
             # per-CPU lists and extent splits do.
@@ -136,14 +126,14 @@ def test_fast_buddy_matches_reference(max_order, base, span, program):
                 live.append(kept)
             else:
                 freed = victim
-            reference.free_span(freed.start, freed.count)
-            fast.free_span(freed.start, freed.count)
-        _assert_same_state(reference, fast)
+            model.free_span(freed.start, freed.count)
+            buddy.free_span(freed.start, freed.count)
+        _assert_same_state(model, buddy)
     for frame_range in live:
-        reference.free_range(frame_range)
-        fast.free_range(frame_range)
-    _assert_same_state(reference, fast)
-    assert fast.free_frames == span
+        model.free_span(frame_range.start, frame_range.count)
+        buddy.free_range(frame_range)
+    _assert_same_state(model, buddy)
+    assert buddy.free_frames == span
 
 
 # ----------------------------------------------------------------------
@@ -264,21 +254,28 @@ def test_eq1_always_in_clamp_range(interval, delta):
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "access", "deactivate", "remove"]),
+            st.sampled_from(
+                ["insert", "access", "deactivate", "remove", "resize", "scan"]
+            ),
             st.integers(min_value=0, max_value=9),
         ),
         max_size=60,
     ),
 )
 def test_lru_page_accounting_consistent(ops):
+    """The running page totals equal a walk over the lists' extents
+    after every insert, remove, access, deactivate, scan and in-place
+    resize (the walk is the oracle the totals replace)."""
     lru = SplitLru(node_id=0)
     extents: dict[int, PageExtent] = {}
-    for op, key in ops:
+    for epoch, (op, key) in enumerate(ops):
         extent = extents.get(key)
         if op == "insert" and extent is None:
-            extent = PageExtent(f"r{key}", PageType.HEAP, 10, 0)
+            extent = PageExtent(f"r{key}", PageType.HEAP, 1 + key, 0)
             extents[key] = extent
             lru.insert(extent)
+        elif op == "scan":
+            lru.scan(epoch)
         elif extent is not None and lru.contains(extent):
             if op == "access":
                 lru.record_access(extent)
@@ -287,5 +284,12 @@ def test_lru_page_accounting_consistent(ops):
             elif op == "remove":
                 lru.remove(extent)
                 del extents[key]
+            elif op == "resize" and extent.pages > 1:
+                # An extent split shrinks the extent in place.
+                cut = 1 + epoch % (extent.pages - 1)
+                extent.pages -= cut
+                lru.note_resized(extent, -cut)
+        assert lru.active_pages == sum(e.pages for e in lru.active_extents)
+        assert lru.inactive_pages == sum(e.pages for e in lru.inactive_extents)
     live_pages = sum(e.pages for e in extents.values())
     assert lru.active_pages + lru.inactive_pages == live_pages

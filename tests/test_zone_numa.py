@@ -121,33 +121,39 @@ def test_base_frame_offsets_disjoint():
     assert not fast_frames & slow_frames
 
 
-def _assert_same_free_state(reference, fast):
-    for ref_zone, fast_zone in zip(reference.zones, fast.zones):
-        ref_buddy, fast_buddy = ref_zone.buddy, fast_zone.buddy
-        assert fast_buddy.free_frames == ref_buddy.free_frames
-        assert fast_buddy.largest_free_order() == ref_buddy.largest_free_order()
-        frames = range(ref_buddy.base, ref_buddy.base + ref_buddy.total_frames)
-        assert [fast_buddy.is_free(f) for f in frames] == [
-            ref_buddy.is_free(f) for f in frames
+def _assert_same_free_state(sequential, batched):
+    for seq_zone, batch_zone in zip(sequential.zones, batched.zones):
+        seq_buddy, batch_buddy = seq_zone.buddy, batch_zone.buddy
+        assert batch_buddy.free_frames == seq_buddy.free_frames
+        assert batch_buddy.largest_free_order() == seq_buddy.largest_free_order()
+        frames = range(seq_buddy.base, seq_buddy.base + seq_buddy.total_frames)
+        assert [batch_buddy.is_free(f) for f in frames] == [
+            seq_buddy.is_free(f) for f in frames
         ]
-        ref_buddy.check_invariants()
-        fast_buddy.check_invariants()
+        seq_buddy.check_invariants()
+        batch_buddy.check_invariants()
+
+
+def _free_one_by_one(node, ranges):
+    for frame_range in ranges:
+        node._zone_owning(frame_range.start).buddy.free_span(
+            frame_range.start, frame_range.count
+        )
 
 
 def test_fast_two_zone_free_ranges_matches_sequential_frees():
-    """The array-backed SlowMem node frees DMA and NORMAL ranges in
-    same-zone batches, yet raises at the same range and leaves the same
-    free state as the reference node's one-range-at-a-time frees."""
+    """A SlowMem node frees DMA and NORMAL ranges in same-zone batches,
+    yet raises at the same range and leaves the same free state as
+    one-range-at-a-time frees."""
     from repro.errors import AllocationError
     from repro.mem.frames import FrameRange
-    from repro.sim.fast import fast_build_node
 
     device = NVM_PCM.with_capacity(64 * MIB)
-    reference = build_node(1, NodeTier.SLOW, device, base_frame=300)
-    fast = fast_build_node(1, NodeTier.SLOW, device, base_frame=300)
-    assert [zone.kind for zone in fast.zones] == [ZoneKind.DMA, ZoneKind.NORMAL]
+    sequential = build_node(1, NodeTier.SLOW, device, base_frame=300)
+    batched = build_node(1, NodeTier.SLOW, device, base_frame=300)
+    assert [zone.kind for zone in batched.zones] == [ZoneKind.DMA, ZoneKind.NORMAL]
     grants = []
-    for node in (reference, fast):
+    for node in (sequential, batched):
         dma, normal = (zone.buddy for zone in node.zones)
         grants.append([
             dma.allocate_pages(700),
@@ -169,19 +175,22 @@ def test_fast_two_zone_free_ranges_matches_sequential_frees():
         *rest,
     ]
     errors = []
-    for node in (reference, fast):
+    for free in (lambda: _free_one_by_one(sequential, ranges),
+                 lambda: batched.free_ranges(ranges)):
         with pytest.raises(AllocationError) as caught:
-            node.free_ranges(ranges)
+            free()
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
     assert "double free" in errors[0]
-    _assert_same_free_state(reference, fast)
-    assert not fast.zones[0].buddy.is_free(dma_tail.start)
+    _assert_same_free_state(sequential, batched)
+    assert not batched.zones[0].buddy.is_free(dma_tail.start)
 
     # A range owned by no zone (below the node's base) fails the same
     # way, after the ranges before it are freed.
-    for node in (reference, fast):
+    tail = [*rest, FrameRange(10, 5)]
+    for free in (lambda: _free_one_by_one(sequential, tail),
+                 lambda: batched.free_ranges(tail)):
         with pytest.raises(OutOfMemoryError):
-            node.free_ranges([*rest, FrameRange(10, 5)])
-    _assert_same_free_state(reference, fast)
-    assert fast.free_pages == fast.total_pages
+            free()
+    _assert_same_free_state(sequential, batched)
+    assert batched.free_pages == batched.total_pages
