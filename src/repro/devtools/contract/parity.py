@@ -5,12 +5,8 @@ must stay equal, modulo an *explicitly declared* exclusion list that
 carries a human reason.  ``field_parity`` checks one such pair and
 emits findings anchored on the drifted declaration; stale exclusions
 (entries that no longer exclude anything) are findings too, so the
-declared lists cannot rot.
-
-This is deliberately the extension hook for the planned array-backed
-fast path (ROADMAP item 2): pinning its field set to the dict-backed
-reference is one more ``field_parity`` call with the new extractor on
-one side.
+declared lists cannot rot.  A new mirrored declaration is one more
+``field_parity`` call with an extractor on each side.
 """
 
 from __future__ import annotations
